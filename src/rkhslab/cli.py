@@ -48,6 +48,9 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
+        if args.command == "inconsistency" and cfg.n_grid[-1] >= cfg.truncation:
+            # n >= M makes every Gram matrix singular: the fits would only jitter
+            raise ConfigError("sample sizes must stay below the truncation")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -56,24 +59,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "variance":
             summary = run_variance_experiment(cfg, threads=threads)
-            counts = summary["per_n"].values()
-            total_fail = sum(c["failures"] for c in counts)
-            bad = any(
-                c["failures"] > MAX_FAILURE_FRACTION * cfg.replicates for c in counts
+            failures = [c["failures"] for c in summary["per_n"].values()]
+            print(f"variance experiment done; {sum(failures)} failed replicates")
+        else:
+            result = run_inconsistency_experiment(cfg, threads=threads)
+            failures = result.failure_counts
+            slope = "n/a" if result.fitted_slope is None else f"{result.fitted_slope:.3f}"
+            print(
+                f"inconsistency experiment done; fitted slope {slope}, "
+                f"theoretical exponent {result.theoretical_exponent:.3f} "
+                f"({result.classification})"
             )
-            print(f"variance experiment done; {total_fail} failed replicates")
-            return 3 if bad else 0
-        result = run_inconsistency_experiment(cfg, threads=threads)
-        bad = any(
-            f > MAX_FAILURE_FRACTION * cfg.replicates for f in result.failure_counts
-        )
-        slope = "n/a" if result.fitted_slope is None else f"{result.fitted_slope:.3f}"
-        print(
-            f"inconsistency experiment done; fitted slope {slope}, "
-            f"theoretical exponent {result.theoretical_exponent:.3f} "
-            f"({result.classification})"
-        )
-        return 3 if bad else 0
+        return 3 if any(f > MAX_FAILURE_FRACTION * cfg.replicates for f in failures) else 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -14,6 +14,8 @@ config reproduces every output file byte for byte.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -24,6 +26,8 @@ import numpy as np
 from .fitting import fit_loglog_slope
 from .kernels import SpectralKernel
 from .operators import (
+    NotInPowerSpace,
+    _envelope_shape,
     build_operator_model,
     v1_lambda,
     v2_lambda,
@@ -31,7 +35,7 @@ from .operators import (
     v_lambda_gram_route,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
-from .spectra import make_power_law_spectrum, theoretical_exponent
+from .spectra import _write_csv, make_power_law_spectrum, theoretical_exponent
 
 __all__ = [
     "ConfigError",
@@ -42,14 +46,24 @@ __all__ = [
     "replicate_rng",
     "run_variance_experiment",
     "run_inconsistency_experiment",
-    "fit_loglog_slope",
 ]
 
 MAX_FAILURE_FRACTION = 0.2
+# squared errors scale with sigma^2 and overflow for larger noise levels
+MAX_SIGMA = 1e100
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """An int or float within the float range; JSON true and false are not numbers."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -71,22 +85,35 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        for name in ("beta", "gamma", "sigma", "zeta", "f_star_b1"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name in ("truncation", "replicates", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        for name in ("basis", "f_star", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string")
+        if not all(_is_int(n) and n >= 1 for n in self.n_grid):
+            raise ConfigError("sample sizes must be positive integers")
+        if not all(_is_number(l) and l > 0 for l in self.lambda_grid):
+            raise ConfigError("lambda grid entries must be positive numbers")
         if self.beta <= 1:
             raise ConfigError("beta must exceed 1")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not 0 < self.sigma <= MAX_SIGMA:
+            raise ConfigError(f"sigma must lie in (0, {MAX_SIGMA:g}]")
+        if self.truncation < 2:
+            raise ConfigError("truncation must be at least 2")
         if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be non-empty and strictly increasing")
-        if any(n < 1 for n in self.n_grid):
-            raise ConfigError("sample sizes must be positive")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.f_star not in ("zero", "single_mode"):
             raise ConfigError("f_star must be 'zero' or 'single_mode'")
-        if any(l <= 0 for l in self.lambda_grid):
-            raise ConfigError("lambda grid entries must be positive")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -95,12 +122,16 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("n_grid", "lambda_grid"):
             if key in raw:
+                if not isinstance(raw[key], list):
+                    raise ConfigError(f"{key} must be a list")
                 raw[key] = tuple(raw[key])
         try:
             return cls(**raw)
@@ -108,8 +139,11 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from err
 
     def build_kernel(self) -> SpectralKernel:
-        spec = make_power_law_spectrum(self.beta, self.zeta, self.truncation)
-        return SpectralKernel(spectrum=spec, basis=self.basis)
+        try:
+            spec = make_power_law_spectrum(self.beta, self.zeta, self.truncation)
+            return SpectralKernel(spectrum=spec, basis=self.basis)
+        except (ValueError, ArithmeticError) as err:
+            raise ConfigError(f"cannot build the kernel: {err}") from err
 
     def f_star_coeffs(self, kernel: SpectralKernel) -> np.ndarray:
         if self.f_star == "zero":
@@ -197,6 +231,24 @@ def _write_plot_script(out: Path, files: list[str]) -> None:
     (out / "plot.py").write_text("\n".join(lines), encoding="utf-8")
 
 
+def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict:
+    """``one(n, r)`` for every (n, replicate) in order, on ``threads`` workers.
+
+    A job whose solve fails numerically is left out: failures are the missing keys.
+    """
+    results = {}
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        futs = {
+            (n, r): pool.submit(one, n, r) for n in cfg.n_grid for r in range(cfg.replicates)
+        }
+        for key, fut in futs.items():
+            try:
+                results[key] = fut.result()
+            except (np.linalg.LinAlgError, NotInPowerSpace):
+                pass
+    return results
+
+
 def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Evaluate the variance functionals over replicates and sample sizes.
 
@@ -223,49 +275,25 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         v2 = np.array([v2_lambda(kernel.spectrum, cfg.gamma, l, n) for l in lam])
         return v_coeff, v_gram, v1, v2
 
-    results: dict[tuple[int, int], tuple] = {}
-    failures: dict[int, int] = {n: 0 for n in cfg.n_grid}
-    jobs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(one, n, r): (n, r) for n, r in jobs}
-            for fut, key in futs.items():
-                try:
-                    results[key] = fut.result()
-                except np.linalg.LinAlgError:
-                    failures[key[0]] += 1
-    else:
-        for n, r in jobs:
-            try:
-                results[(n, r)] = one(n, r)
-            except np.linalg.LinAlgError:
-                failures[n] += 1
-
-    envelope = lam ** (-cfg.gamma - 1.0 / cfg.beta) * np.where(
-        lam < 1.0, np.log(1.0 / lam), 1.0
-    ) ** (-cfg.zeta)
+    results = _map_replicates(one, cfg, threads)
     summary = {"per_n": {}, "config": asdict(cfg)}
     files = []
     for n in cfg.n_grid:
         reps = [results[(n, r)] for r in range(cfg.replicates) if (n, r) in results]
+        per_n = {"successes": len(reps), "failures": cfg.replicates - len(reps)}
+        summary["per_n"][str(n)] = per_n
         if not reps:
             continue
         stacks = [np.mean([rep[k] for rep in reps], axis=0) for k in range(4)]
         name = f"curve_n{n}.csv"
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write("lambda,v_coeff,v_gram,v1,v2,envelope\n")
-            for row in zip(lam, *stacks, envelope / n):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        envelope = _envelope_shape(lam, cfg.gamma, cfg.beta, cfg.zeta, n)
+        _write_csv(out / name, "lambda,v_coeff,v_gram,v1,v2,envelope", zip(lam, *stacks, envelope))
         files.append(name)
         rel = [
             np.median(np.abs(rep[0] - rep[2]) / np.maximum(rep[2], np.finfo(float).tiny))
             for rep in reps
         ]
-        summary["per_n"][str(n)] = {
-            "successes": len(reps),
-            "failures": failures[n],
-            "median_rel_v_minus_v1": float(np.median(rel)),
-        }
+        per_n["median_rel_v_minus_v1"] = float(np.median(rel))
     # canonical file for the largest sample size
     largest = f"curve_n{cfg.n_grid[-1]}.csv"
     if (out / largest).exists():
@@ -275,6 +303,15 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     _write_plot_script(out, files)
     return summary
+
+
+def _error_stats(vals: np.ndarray) -> list[float]:
+    """Mean, standard error, median, 10% and 90% quantiles; NaN without values."""
+    if len(vals) == 0:
+        return [float("nan")] * 5
+    stderr = np.std(vals, ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
+    quantiles = (np.quantile(vals, 0.1), np.quantile(vals, 0.9))
+    return [float(x) for x in (np.mean(vals), stderr, np.median(vals), *quantiles)]
 
 
 def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -299,46 +336,21 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
         fit = min_norm_fit(kernel, SampleSet(X, Y))
         return gamma_error_sq(fit, cfg.f_star_coeffs(kernel), cfg.gamma)
 
-    errors: dict[tuple[int, int], float] = {}
-    jobs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(one, n, r): (n, r) for n, r in jobs}
-            for fut, key in futs.items():
-                try:
-                    errors[key] = fut.result()
-                except np.linalg.LinAlgError:
-                    pass
-    else:
-        for n, r in jobs:
-            try:
-                errors[(n, r)] = one(n, r)
-            except np.linalg.LinAlgError:
-                pass
+    errors = _map_replicates(one, cfg, threads)
 
-    means, stderrs, medians, q10, q90, succ, fail = [], [], [], [], [], [], []
-    for n in cfg.n_grid:
-        vals = np.array([errors[(n, r)] for r in range(cfg.replicates) if (n, r) in errors])
-        succ.append(len(vals))
-        fail.append(cfg.replicates - len(vals))
-        if len(vals) == 0:
-            means.append(float("nan"))
-            stderrs.append(float("nan"))
-            medians.append(float("nan"))
-            q10.append(float("nan"))
-            q90.append(float("nan"))
-            continue
-        means.append(float(np.mean(vals)))
-        stderrs.append(float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0)
-        medians.append(float(np.median(vals)))
-        q10.append(float(np.quantile(vals, 0.1)))
-        q90.append(float(np.quantile(vals, 0.9)))
+    per_n = [
+        np.array([errors[(n, r)] for r in range(cfg.replicates) if (n, r) in errors])
+        for n in cfg.n_grid
+    ]
+    means, stderrs, medians, q10, q90 = (list(col) for col in zip(*map(_error_stats, per_n)))
+    succ = [len(vals) for vals in per_n]
+    fail = [cfg.replicates - len(vals) for vals in per_n]
 
     too_many_failures = any(
         f > MAX_FAILURE_FRACTION * cfg.replicates for f in fail
     )
     slope = stderr = None
-    if len(cfg.n_grid) >= 3 and not too_many_failures and all(np.isfinite(means)):
+    if len(cfg.n_grid) >= 3 and not too_many_failures and all(0 < m < np.inf for m in means):
         slope, stderr = fit_loglog_slope(np.array(cfg.n_grid, float), np.array(means))
 
     result = ExperimentResult(
@@ -357,12 +369,8 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
         runtime_seconds=time.time() - t0,
         config=asdict(cfg),
     )
-    with open(out / "errors.csv", "w", encoding="utf-8") as fh:
-        fh.write("n,replicate,gamma_error_sq\n")
-        for n in cfg.n_grid:
-            for r in range(cfg.replicates):
-                if (n, r) in errors:
-                    fh.write(f"{n},{r},{errors[(n, r)]:.17g}\n")
+    rows = ((n, r, e) for (n, r), e in errors.items())
+    _write_csv(out / "errors.csv", "n,replicate,gamma_error_sq", rows)
     (out / "summary.json").write_text(result.to_json(), encoding="utf-8")
     _write_plot_script(out, ["errors.csv"])
     return result

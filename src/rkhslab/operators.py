@@ -9,22 +9,24 @@ The conditional-variance functional
 
     V(lambda) = (1/n^2) sum_i || D^{(1-gamma)/2} (C_emp + lambda)^{-1} psi(x_i) ||^2
 
-is computed by two independent routes: directly in coefficient space, and
-through the n x n Gram matrix using the fractional-power kernel.  Its
-population approximations V1 (empirical points, population covariance) and
-V2 (fully averaged closed form) have diagonal closed forms.
+is computed by two independent routes: in coefficient space from the thin
+SVD of psi, computed once per model and shared by every lambda >= 0, and
+from one eigendecomposition of the n x n Gram matrix with the
+fractional-power kernel.  Its population approximations V1 (empirical
+points, population covariance) and V2 (fully averaged closed form) have
+diagonal closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .kernels import SpectralKernel, gram_matrix
-from .spectra import Spectrum, effective_dimension, embedding_norm
+from .spectra import Spectrum, _variance_terms, _write_csv, effective_dimension, embedding_norm
 
 __all__ = [
     "NotInPowerSpace",
@@ -66,12 +68,11 @@ class IllConditionedGram(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class TruncatedOperatorModel:
-    """Sample X with its coefficient map and empirical covariance."""
+    """Sample X with its coefficient map psi and, on first use, its thin SVD."""
 
     kernel: SpectralKernel
     X: np.ndarray
     psi: np.ndarray  # n x M, rows are psi(x_k)
-    C_emp: np.ndarray  # M x M symmetric PSD, rank <= n
 
     @property
     def n(self) -> int:
@@ -81,16 +82,25 @@ class TruncatedOperatorModel:
     def mu(self) -> np.ndarray:
         return self.kernel.spectrum.mu
 
+    @property
+    def C_emp(self) -> np.ndarray:
+        """Empirical covariance (1/n) sum psi psi^T, M x M, formed on each access."""
+        return self.psi.T @ self.psi / self.n
+
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # thin SVD U, s, Vt of psi, shared by every lambda and gamma
+        return np.linalg.svd(self.psi, full_matrices=False)
+
 
 def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
-    """Assemble psi(x_k) rows and C_emp = (1/n) sum psi psi^T."""
+    """Assemble the rows psi(x_k) of the sample."""
     X = np.atleast_1d(np.asarray(X, dtype=float))
     if len(X) < 1:
         raise ValueError("need at least one sample point")
     E = kernel.basis_matrix(X)
     psi = E * np.sqrt(kernel.spectrum.mu)
-    C_emp = psi.T @ psi / len(X)
-    return TruncatedOperatorModel(kernel=kernel, X=X, psi=psi, C_emp=C_emp)
+    return TruncatedOperatorModel(kernel=kernel, X=X, psi=psi)
 
 
 def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
@@ -107,46 +117,32 @@ def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
     return float(np.sum(terms))
 
 
-def _psd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A Z = B for symmetric positive definite A, eigh fallback."""
-    try:
-        return cho_solve(cho_factor(A, lower=True), B)
-    except np.linalg.LinAlgError:
-        w, Q = eigh(A)
-        w = np.maximum(w, np.max(w) * np.finfo(float).eps)
-        return Q @ ((Q.T @ B) / w[:, None])
+def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
+    """Factors U, d, Vt of Z = Vt.T @ diag(d) @ U.T, columns z_i = (C_emp + lambda)^{-1} psi(x_i).
 
-
-def _coefficient_solution(m: TruncatedOperatorModel, lam: float) -> np.ndarray:
-    """Columns z_i = (C_emp + lambda)^{-1} psi(x_i), shape M x n."""
+    With the thin SVD psi = U diag(s) Vt, d = s / (s^2/n + lambda) for every lambda >= 0.
+    """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
-    if lam > 0:
-        A = m.C_emp + lam * np.eye(m.C_emp.shape[0])
-        return _psd_solve(A, m.psi.T)
-    # lambda = 0: invert the restriction to the span of {psi(x_k)} through
-    # the SVD of psi, with a relative singular-value cutoff
-    U, svals, Vt = np.linalg.svd(m.psi, full_matrices=False)
-    keep = svals > svals[0] * RANK_CUTOFF
-    if np.count_nonzero(keep) < m.n:
-        raise SingularOperator(
-            f"empirical rank {np.count_nonzero(keep)} < n = {m.n} at lambda = 0"
-        )
-    return Vt.T @ ((m.n / svals[keep])[:, None] * U[:, keep].T)
+    U, svals, Vt = m._svd
+    if lam == 0:
+        # the inverse on the span of {psi(x_k)} needs n singular values above the cutoff
+        rank = np.count_nonzero(svals > svals[0] * RANK_CUTOFF)
+        if rank < m.n:
+            raise SingularOperator(f"empirical rank {rank} < n = {m.n} at lambda = 0")
+    return U, svals / (svals**2 / m.n + lam), Vt
 
 
 def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma, lam: float):
     """V(lambda) evaluated in coefficient space.
 
-    ``gamma`` may be a scalar or a sequence; the expensive linear solve is
-    shared across all requested smoothness indices.
+    ``gamma`` may be a scalar or a sequence; the factorization is shared
+    across all requested smoothness indices and regularization levels.
     """
-    Z = _coefficient_solution(m, lam)
-    row_sq = np.sum(Z**2, axis=1)  # sum over sample points, per mode
+    _, d, Vt = _coefficient_solution(m, lam)
+    row_sq = (Vt**2).T @ d**2  # sum of Z**2 over sample points, per mode
     gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
-    out = np.array(
-        [np.sum(m.mu ** (1.0 - g) * row_sq) for g in gammas]
-    ) / m.n**2
+    out = np.sum(m.mu ** (1.0 - gammas[:, None]) * row_sq, axis=1) / m.n**2
     return float(out[0]) if np.isscalar(gamma) else out
 
 
@@ -157,30 +153,26 @@ def v_lambda_gram_route(
 
     With G = K(X, X) and A = (G/n + lambda I)^{-1}, returns
     (1/n^2) tr(A K2 A) where K2 is the Gram matrix of the fractional-power
-    kernel with exponent 2 - gamma.  Algebraically identical to the
-    coefficient route in the truncated model.
+    kernel with exponent 2 - gamma, from one eigendecomposition of G/n + lambda I.
+    Algebraically identical to the coefficient route in the truncated model.
     """
     X = np.atleast_1d(np.asarray(X, dtype=float))
     n = len(X)
     G = gram_matrix(kernel, X)
-    A = G / n + lam * np.eye(n)
-    w = np.linalg.eigvalsh(A)
+    w, Q = np.linalg.eigh(G / n + lam * np.eye(n))
     if w[0] <= 0 or w[-1] / w[0] > cond_limit:
         raise IllConditionedGram(np.inf if w[0] <= 0 else w[-1] / w[0])
-    Ainv = _psd_solve(A, np.eye(n))
     K2 = gram_matrix(kernel, X, power=2.0 - gamma)
-    return float(np.sum(Ainv * (K2 @ Ainv))) / n**2
+    return float(np.sum(np.sum(Q * (K2 @ Q), axis=0) / w**2)) / n**2
 
 
 def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """Population-covariance approximation of V at the sampled points."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive (got {lam})")
-    mu = m.mu
     # e_l(x_i)^2 = psi_{il}^2 / mu_l
-    e_sq_sums = np.sum(m.psi**2, axis=0) / mu
-    weights = mu ** (2.0 - gamma) / (mu + lam) ** 2
-    return float(np.sum(weights * e_sq_sums)) / m.n**2
+    e_sq_sums = np.sum(m.psi**2, axis=0) / m.mu
+    return float(np.sum(_variance_terms(m.mu, gamma, lam) * e_sq_sums)) / m.n**2
 
 
 def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
@@ -189,7 +181,13 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
         raise ValueError(f"lambda must be positive (got {lam})")
     if n < 1:
         raise ValueError(f"n must be at least 1 (got {n})")
-    return float(np.sum(s.mu ** (2.0 - gamma) / (s.mu + lam) ** 2)) / n
+    return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
+
+
+def _envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
+    """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n; the log factor is 1 at lambda >= 1."""
+    log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)
+    return lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
 
 
 def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
@@ -218,8 +216,7 @@ class VarianceCurve:
 
     def envelope(self, beta: float, zeta: float, n: int) -> np.ndarray:
         """Shape of the predicted small-lambda lower bound (up to a constant)."""
-        lam = self.lambda_grid
-        return lam ** (-self.gamma - 1.0 / beta) * np.log(1.0 / lam) ** (-zeta) / n
+        return _envelope_shape(self.lambda_grid, self.gamma, beta, zeta, n)
 
     def to_csv(self, path, beta: float | None = None, zeta: float = 0.0, n: int = 1) -> None:
         env = (
@@ -227,10 +224,8 @@ class VarianceCurve:
             if beta is not None
             else np.full_like(self.lambda_grid, np.nan)
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("lambda,v,v1,v2,bound_v2_envelope\n")
-            for row in zip(self.lambda_grid, self.v, self.v1, self.v2, env):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        rows = zip(self.lambda_grid, self.v, self.v1, self.v2, env)
+        _write_csv(path, "lambda,v,v1,v2,bound_v2_envelope", rows)
 
 
 def variance_curve(

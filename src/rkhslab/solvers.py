@@ -9,16 +9,16 @@ Parseval sums rather than quadrature estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .kernels import SpectralKernel, gram_matrix
 from .operators import (
     NotInPowerSpace,
     TruncatedOperatorModel,
-    _psd_solve,
+    _coefficient_solution,
     gamma_norm_sq,
 )
 
@@ -91,21 +91,23 @@ def ridge_fit(
 
     At lambda = jitter = 0 a failed Cholesky factorization raises
     :class:`SingularGram` with a condition-number diagnostic; the caller may
-    retry with jitter (see :func:`min_norm_fit`).
+    retry with jitter (see :func:`min_norm_fit`).  A regularized system that
+    Cholesky rejects is solved with eigenvalues clipped at eps times the largest.
     """
     if lam < 0 or jitter < 0:
         raise ValueError("lambda and jitter must be nonnegative")
     G = gram_matrix(kernel, s.X)
     A = G + (s.n * lam + jitter) * np.eye(s.n)
-    if lam == 0.0 and jitter == 0.0:
-        try:
-            alpha = cho_solve(cho_factor(A, lower=True), s.Y)
-        except np.linalg.LinAlgError:
+    try:
+        alpha = cho_solve(cho_factor(A, lower=True), s.Y)
+    except np.linalg.LinAlgError:
+        if lam == 0.0 and jitter == 0.0:
             w = np.linalg.eigvalsh(A)
             cond = np.inf if w[0] <= 0 else w[-1] / w[0]
             raise SingularGram(cond) from None
-    else:
-        alpha = _psd_solve(A, s.Y)
+        w, Q = eigh(A)
+        w = np.maximum(w, np.max(w) * np.finfo(float).eps)
+        alpha = Q @ ((Q.T @ s.Y) / w)
     return DualSolution(kernel=kernel, X=s.X, alpha=alpha, lambda_used=lam, jitter_used=jitter)
 
 
@@ -154,13 +156,8 @@ def operator_rep_check(
     psi(x_i); the two agree up to solver tolerance.
     """
     w_dual = m.psi.T @ d.alpha
-    if lam > 0:
-        A = m.C_emp + lam * np.eye(m.C_emp.shape[0])
-        w_op = _psd_solve(A, m.psi.T @ s.Y) / m.n
-    else:
-        from .operators import _coefficient_solution
-
-        w_op = _coefficient_solution(m, 0.0) @ s.Y / m.n
+    U, d_svd, Vt = _coefficient_solution(m, lam)
+    w_op = Vt.T @ (d_svd * (U.T @ s.Y)) / m.n
     return float(np.max(np.abs(w_dual - w_op)))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -146,16 +146,7 @@ class EmbeddingReport:
     m_at_alpha_star_finite: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "m_alpha": self.m_alpha,
-                "alpha_star_estimate": self.alpha_star_estimate,
-                "method": self.method,
-                "m_at_alpha_star_finite": self.m_at_alpha_star_finite,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _embedding_terms(kernel_spec, alpha: float, grid=None):
@@ -301,8 +292,7 @@ def v2_envelope(s: Spectrum, gamma: float, lambda_grid) -> EnvelopeCurve:
         raise ValueError("lambda grid must lie inside (0, 1/2)")
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must lie in [0, 1) (got {gamma})")
-    powered = s.mu ** (2.0 - gamma)
-    values = np.array([np.sum(powered / (s.mu + l) ** 2) for l in lam])
+    values = np.array([np.sum(_variance_terms(s.mu, gamma, l)) for l in lam])
     if len(lam) >= 3:
         slope, stderr = fit_loglog_slope(1.0 / lam, values)
     else:
@@ -317,9 +307,19 @@ def v2_envelope(s: Spectrum, gamma: float, lambda_grid) -> EnvelopeCurve:
     )
 
 
+def _variance_terms(mu: np.ndarray, gamma: float, lam: float) -> np.ndarray:
+    """Terms mu_i^(2-gamma) / (mu_i + lambda)^2 of the variance sum S(lambda)."""
+    return mu ** (2.0 - gamma) / (mu + lam) ** 2
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one line per row, each value formatted as %.17g."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
 def curve_to_csv(path, lambdas, values) -> None:
     """Write a (lambda, value) curve with the canonical header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lambda,value\n")
-        for l, v in zip(lambdas, values):
-            fh.write(f"{l:.17g},{v:.17g}\n")
+    _write_csv(path, "lambda,value", zip(lambdas, values))

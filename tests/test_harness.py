@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkhslab import (
     ConfigError,
@@ -317,3 +321,103 @@ class TestCli:
             ["inconsistency", "--config", str(path), "--out", str(tmp_path / "run")]
         )
         assert code == 3
+
+    def test_variance_failure_exit_code(self, tmp_path, monkeypatch):
+        import rkhslab.harness as harness
+
+        def always_fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(harness, "v_lambda_gram_route", always_fail)
+        path = self.write_config(tmp_path, {"lambda_grid": [1e-2]})
+        code = cli_main(["variance", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert [c["failures"] for c in summary["per_n"].values()] == [2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("inconsistency", {"truncation": 1}),
+            ("variance", {"truncation": 1, "lambda_grid": [1e-2]}),
+            ("inconsistency", {"n_grid": [8.5, 16]}),
+            ("variance", {"n_grid": [8.5, 16], "lambda_grid": [1e-2]}),
+            ("inconsistency", {"truncation": 32, "n_grid": [8, 16, 32]}),
+        ],
+    )
+    def test_invalid_config_exit_code(self, tmp_path, capsys, command, extra):
+        path = self.write_config(tmp_path, extra)
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+# any JSON value, NaN and infinities included (Python's json reads them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+NON_INTEGERS = JSON_VALUES.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
+# sizes that set the work (truncation, n_grid entries, replicates) are drawn
+# small or of a non-integer type, so that a run stays fast
+SMALL_SIZES = st.integers(-2, 40) | st.floats(-2.0, 40.0) | NON_INTEGERS
+FIELD_VALUES = {
+    "beta": st.floats(0.5, 4.0) | JSON_VALUES,
+    "gamma": st.floats(-0.5, 1.5) | JSON_VALUES,
+    "sigma": st.floats(0.0, 2.0) | JSON_VALUES,
+    "zeta": st.floats(-2.0, 2.0) | JSON_VALUES,
+    "basis": st.sampled_from(["cosine_unit_interval", "circle_fourier"]) | JSON_VALUES,
+    "truncation": st.integers(-2, 48) | NON_INTEGERS,
+    "n_grid": st.lists(SMALL_SIZES, max_size=4) | NON_INTEGERS,
+    "replicates": st.integers(-1, 3) | NON_INTEGERS,
+    "lambda_grid": st.lists(st.floats(-0.1, 0.6) | JSON_VALUES, max_size=3) | JSON_VALUES,
+    "seed": JSON_VALUES,
+    "f_star": st.sampled_from(["zero", "single_mode"]) | JSON_VALUES,
+    "f_star_b1": st.floats(-3.0, 3.0) | JSON_VALUES,
+    "output_dir": JSON_VALUES,
+}
+# a small valid config, then up to three fields replaced or dropped and
+# possibly an unknown key, so that every exit path is reached
+VALID_CONFIGS = st.fixed_dictionaries(
+    {
+        "beta": st.floats(1.1, 4.0),
+        "gamma": st.floats(0.0, 0.99),
+        "truncation": st.integers(2, 48),
+        "n_grid": st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted),
+        "replicates": st.integers(1, 3),
+        "lambda_grid": st.lists(st.floats(1e-6, 0.49), min_size=1, max_size=3),
+    },
+    optional={"sigma": st.floats(0.01, 2.0), "seed": st.integers(0, 2**40)},
+)
+FIELD_EDITS = st.lists(
+    st.sampled_from(sorted(FIELD_VALUES)).flatmap(
+        lambda k: st.tuples(st.just(k), st.none() | FIELD_VALUES[k].map(lambda v: [v]))
+    ),
+    max_size=3,
+)
+UNKNOWN_KEYS = st.dictionaries(
+    st.text(max_size=4).filter(lambda k: k not in FIELD_VALUES), JSON_VALUES, max_size=1
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["variance", "inconsistency"]),
+    config=VALID_CONFIGS,
+    edits=FIELD_EDITS,
+    unknown=UNKNOWN_KEYS,
+)
+def test_cli_fuzzed_config_never_raises(command, config, edits, unknown):
+    for key, value in edits:  # None drops the key, [v] sets it to v
+        if value is None:
+            config.pop(key, None)
+        else:
+            config[key] = value[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({**config, **unknown}))
+        code = cli_main([command, "--config", str(path), "--out", str(Path(tmp) / "run")])
+    assert code in (0, 2, 3)

@@ -149,11 +149,13 @@ class TestVCoefficientRoute:
         with pytest.raises(ValueError):
             v_lambda_coefficient_route(m, 0.0, -1.0)
 
-    def test_parseval_aggregation_identity(self):
+    @pytest.mark.parametrize("n", [6, 80])
+    def test_parseval_aggregation_identity(self, n):
         # (1/n^2) sum_i gamma_norm_sq of the L2 coefficients of
-        # (C_emp + lam)^{-1} psi(x_i) reproduces the functional itself
+        # (C_emp + lam)^{-1} psi(x_i) reproduces the functional itself;
+        # n = 80 > M = 64 puts more sample points than modes in the thin SVD
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
-        X = np.random.default_rng(5).random(6)
+        X = np.random.default_rng(5).random(n)
         m = build_operator_model(k, X)
         lam, gamma = 1e-2, 0.5
         Z = np.linalg.solve(m.C_emp + lam * np.eye(64), m.psi.T)
@@ -164,6 +166,22 @@ class TestVCoefficientRoute:
         assert total == pytest.approx(
             v_lambda_coefficient_route(m, gamma, lam), abs=1e-10
         )
+
+    def test_one_svd_per_model(self, monkeypatch):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+        real, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        m = build_operator_model(k, np.random.default_rng(11).random(12))
+        assert len(calls) == 0  # the factorization is computed on first use
+        variance_curve(m, 0.5, [1e-3, 1e-2, 1e-1])
+        assert len(calls) == 1
+        v_lambda_coefficient_route(m, [0.0, 0.25, 0.5], 0.0)
+        assert len(calls) == 1
 
 
 class TestVGramRoute:
@@ -257,6 +275,16 @@ class TestVarianceCurve:
         lines = path.read_text().splitlines()
         assert lines[0] == "lambda,v,v1,v2,bound_v2_envelope"
         assert len(lines) == 3
+
+    def test_envelope_finite_for_lambda_at_least_one(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+        m = build_operator_model(k, np.random.default_rng(13).random(8))
+        lam = np.array([0.1, 2.0])
+        env = variance_curve(m, 0.5, lam).envelope(2.0, 0.5, 8)
+        assert np.all(np.isfinite(env))
+        # the log factor is dropped at lambda >= 1, as in the harness's curve files
+        expected = lam ** (-0.5 - 0.5) * np.array([np.log(10.0) ** -0.5, 1.0]) / 8
+        np.testing.assert_allclose(env, expected, rtol=1e-14)
 
     def test_rejects_bad_grid(self):
         m = build_operator_model(one_mode_kernel(), [0.5])

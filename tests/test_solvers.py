@@ -84,6 +84,22 @@ class TestRidgeFit:
         ]
         assert np.all(np.diff(norms) <= 1e-10)
 
+    def test_eigh_fallback_returns_dual_vector(self, cosine_kernel, monkeypatch):
+        import rkhslab.solvers as solvers
+
+        def fail(A, **kw):
+            raise np.linalg.LinAlgError("forced failure")
+
+        rng = np.random.default_rng(4)
+        s = SampleSet(rng.random(6), rng.standard_normal(6))
+        E = cosine_kernel.basis_matrix(s.X)
+        G = (E * cosine_kernel.spectrum.mu) @ E.T
+        expected = np.linalg.solve(G + 6 * 0.1 * np.eye(6), s.Y)
+        monkeypatch.setattr(solvers, "cho_factor", fail)
+        d = ridge_fit(cosine_kernel, s, 0.1)
+        assert d.alpha.shape == (6,)
+        np.testing.assert_allclose(d.alpha, expected, rtol=1e-10)
+
 
 class TestMinNormFit:
     def test_interpolating_flag(self, cosine_kernel):
