@@ -63,7 +63,6 @@ from .spectra import (
     EnvelopeCurve,
     ExponentReport,
     Spectrum,
-    curve_to_csv,
     effective_dimension,
     embedding_norm,
     estimate_alpha_star,

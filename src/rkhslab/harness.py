@@ -8,7 +8,8 @@ gamma-norm error exactly via coefficients, and compares the fitted growth
 exponent of the mean error with the predicted one.
 
 Every random stream is a pure function of (seed, n, replicate), so a fixed
-config reproduces every output file byte for byte.
+config reproduces every CSV and ``plot.py`` byte for byte, and
+``summary.json`` apart from its ``runtime_seconds``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,8 @@ from .operators import (
     NotInPowerSpace,
     _envelope_shape,
     build_operator_model,
-    v1_lambda,
-    v2_lambda,
-    v_lambda_coefficient_route,
     v_lambda_gram_route,
+    variance_curve,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
 from .spectra import _write_csv, make_power_law_spectrum, theoretical_exponent
@@ -145,7 +144,8 @@ class ExperimentConfig:
         except (ValueError, ArithmeticError) as err:
             raise ConfigError(f"cannot build the kernel: {err}") from err
 
-    def f_star_coeffs(self, kernel: SpectralKernel) -> np.ndarray:
+    def f_star_coeffs(self) -> np.ndarray:
+        """L2 coefficients of the target: f* = b1 e_1, and e_1 = 1 in both bases."""
         if self.f_star == "zero":
             return np.zeros(1)
         return np.array([self.f_star_b1])
@@ -201,12 +201,6 @@ def make_responses(X, f_star_values, sigma: float, rng: np.random.Generator) -> 
         raise ValueError("sigma must be positive")
     f = np.zeros(len(X)) if f_star_values is None else np.asarray(f_star_values, dtype=float)
     return f + sigma * rng.standard_normal(len(X))
-
-
-def _f_star_values(cfg: ExperimentConfig, kernel: SpectralKernel, X: np.ndarray):
-    if cfg.f_star == "zero":
-        return None
-    return cfg.f_star_b1 * kernel.basis_matrix(X)[:, 0]
 
 
 def _write_plot_script(out: Path, files: list[str]) -> None:
@@ -268,12 +262,9 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
     def one(n: int, r: int):
         X = sample_inputs("unit_interval", n, replicate_rng(cfg.seed, n, r))
-        m = build_operator_model(kernel, X)
-        v_coeff = np.array([v_lambda_coefficient_route(m, cfg.gamma, l) for l in lam])
+        curve = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
         v_gram = np.array([v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam])
-        v1 = np.array([v1_lambda(m, cfg.gamma, l) for l in lam])
-        v2 = np.array([v2_lambda(kernel.spectrum, cfg.gamma, l, n) for l in lam])
-        return v_coeff, v_gram, v1, v2
+        return curve.v, v_gram, curve.v1, curve.v2
 
     results = _map_replicates(one, cfg, threads)
     summary = {"per_n": {}, "config": asdict(cfg)}
@@ -327,14 +318,14 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
     kernel = cfg.build_kernel()
     alpha_star = 1.0 / cfg.beta  # uniformly bounded basis pins the embedding index
     pred = theoretical_exponent(cfg.gamma, cfg.beta, cfg.zeta, alpha_star)
+    f_coeffs = cfg.f_star_coeffs()
 
     def one(n: int, r: int) -> float:
         rng = replicate_rng(cfg.seed, n, r)
         X = sample_inputs("unit_interval", n, rng)
-        f_vals = _f_star_values(cfg, kernel, X)
-        Y = make_responses(X, f_vals, cfg.sigma, rng)
+        Y = make_responses(X, np.full(n, f_coeffs[0]), cfg.sigma, rng)
         fit = min_norm_fit(kernel, SampleSet(X, Y))
-        return gamma_error_sq(fit, cfg.f_star_coeffs(kernel), cfg.gamma)
+        return gamma_error_sq(fit, f_coeffs, cfg.gamma)
 
     errors = _map_replicates(one, cfg, threads)
 

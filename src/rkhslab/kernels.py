@@ -44,6 +44,11 @@ __all__ = [
 
 # floating-point clamp window for |t| slightly above 1
 T_CLAMP = 1e-12
+# quadrature projection: smallest starting order, and the relative change of
+# the coefficients within at most QUAD_MAX_DOUBLINGS order doublings
+QUAD_MIN_ORDER = 64
+QUAD_RTOL = 1e-6
+QUAD_MAX_DOUBLINGS = 8
 
 
 class DomainError(ValueError):
@@ -219,26 +224,17 @@ def ntk_eval(t) -> float | np.ndarray:
     return float(vals[0]) if scalar else vals
 
 
-def project_dot_product_spectrum(
-    g,
-    d: int,
-    k_max: int,
-    quad_order: int | None = None,
-    rtol: float = 1e-6,
-    max_doublings: int = 8,
-) -> DotProductSpectrum:
+def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:
     """Recover per-degree eigenvalues a_k of a scalar profile g on [-1, 1].
 
     Uses Gauss-Jacobi quadrature with the sphere weight (1 - t^2)^(d/2 - 1);
     the normalization constants are obtained from the numerically computed
     Gegenbauer self-products under the same rule, so exactness of polynomial
-    integration makes the projection self-consistent.  The order is doubled
-    until the coefficients stabilize to ``rtol``.
+    integration makes the projection self-consistent.  The order starts at
+    max(2 (k_max + 1), ``QUAD_MIN_ORDER``) and is doubled until the
+    coefficients stabilize to ``QUAD_RTOL``.
     """
-    if quad_order is None:
-        quad_order = max(2 * (k_max + 1), 64)
-    if quad_order < k_max + 1:
-        raise ValueError("quad_order must be at least k_max + 1")
+    quad_order = max(2 * (k_max + 1), QUAD_MIN_ORDER)
     nmult = np.array([multiplicity(d, k) for k in range(k_max + 1)], dtype=float)
 
     def coeffs(order: int) -> np.ndarray:
@@ -249,16 +245,17 @@ def project_dot_product_spectrum(
         return (P @ (w * gv)) / (nmult * norms)
 
     a = coeffs(quad_order)
-    for _ in range(max_doublings):
+    for _ in range(QUAD_MAX_DOUBLINGS):
         quad_order *= 2
         a_next = coeffs(quad_order)
         change = np.max(np.abs(a_next - a)) / max(np.max(np.abs(a_next)), np.finfo(float).tiny)
         a = a_next
-        if change < rtol:
+        if change < QUAD_RTOL:
             break
     else:
         raise QuadratureError(
-            f"projection did not stabilize to {rtol} after {max_doublings} order doublings"
+            f"projection did not stabilize to {QUAD_RTOL} "
+            f"after {QUAD_MAX_DOUBLINGS} order doublings"
         )
 
     if np.any(a < -1e-10):

@@ -14,7 +14,8 @@ SVD of psi, computed once per model and shared by every lambda >= 0, and
 from one eigendecomposition of the n x n Gram matrix with the
 fractional-power kernel.  Its population approximations V1 (empirical
 points, population covariance) and V2 (fully averaged closed form) have
-diagonal closed forms.
+diagonal closed forms.  :func:`variance_curve` evaluates V by the
+coefficient route; :func:`v_lambda_gram_route` is the independent check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .kernels import SpectralKernel, gram_matrix
 from .spectra import Spectrum, _variance_terms, _write_csv, effective_dimension, embedding_norm
@@ -48,6 +49,8 @@ __all__ = [
 
 # relative singular-value cutoff for the lambda = 0 pseudo-inverse
 RANK_CUTOFF = 1e-12
+# largest condition number of G/n + lambda I the Gram route accepts
+COND_LIMIT = 1e14
 
 
 class NotInPowerSpace(ArithmeticError):
@@ -146,9 +149,7 @@ def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma, lam: float):
     return float(out[0]) if np.isscalar(gamma) else out
 
 
-def v_lambda_gram_route(
-    kernel: SpectralKernel, X, gamma: float, lam: float, cond_limit: float = 1e14
-) -> float:
+def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> float:
     """V(lambda) through the n x n Gram matrix.
 
     With G = K(X, X) and A = (G/n + lambda I)^{-1}, returns
@@ -160,7 +161,7 @@ def v_lambda_gram_route(
     n = len(X)
     G = gram_matrix(kernel, X)
     w, Q = np.linalg.eigh(G / n + lam * np.eye(n))
-    if w[0] <= 0 or w[-1] / w[0] > cond_limit:
+    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
         raise IllConditionedGram(np.inf if w[0] <= 0 else w[-1] / w[0])
     K2 = gram_matrix(kernel, X, power=2.0 - gamma)
     return float(np.sum(np.sum(Q * (K2 @ Q), axis=0) / w**2)) / n**2
@@ -212,38 +213,25 @@ class VarianceCurve:
     v: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    route: str  # coefficient | gram
 
     def envelope(self, beta: float, zeta: float, n: int) -> np.ndarray:
         """Shape of the predicted small-lambda lower bound (up to a constant)."""
         return _envelope_shape(self.lambda_grid, self.gamma, beta, zeta, n)
 
-    def to_csv(self, path, beta: float | None = None, zeta: float = 0.0, n: int = 1) -> None:
-        env = (
-            self.envelope(beta, zeta, n)
-            if beta is not None
-            else np.full_like(self.lambda_grid, np.nan)
-        )
-        rows = zip(self.lambda_grid, self.v, self.v1, self.v2, env)
+    def to_csv(self, path, beta: float, zeta: float, n: int) -> None:
+        rows = zip(self.lambda_grid, self.v, self.v1, self.v2, self.envelope(beta, zeta, n))
         _write_csv(path, "lambda,v,v1,v2,bound_v2_envelope", rows)
 
 
-def variance_curve(
-    m: TruncatedOperatorModel, gamma: float, lambda_grid, route: str = "coefficient"
-) -> VarianceCurve:
-    """Evaluate V, V1, V2 on a grid of positive regularization levels."""
+def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid) -> VarianceCurve:
+    """Evaluate V (coefficient route), V1, V2 on a grid of positive regularization levels."""
     lam = np.asarray(lambda_grid, dtype=float)
     if lam.size == 0 or np.any(lam <= 0):
         raise ValueError("lambda grid must be non-empty and positive")
-    if route == "coefficient":
-        v = np.array([v_lambda_coefficient_route(m, gamma, l) for l in lam])
-    elif route == "gram":
-        v = np.array([v_lambda_gram_route(m.kernel, m.X, gamma, l) for l in lam])
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    v = np.array([v_lambda_coefficient_route(m, gamma, l) for l in lam])
     v1 = np.array([v1_lambda(m, gamma, l) for l in lam])
     v2 = np.array([v2_lambda(m.kernel.spectrum, gamma, l, m.n) for l in lam])
-    return VarianceCurve(gamma=gamma, lambda_grid=lam, v=v, v1=v1, v2=v2, route=route)
+    return VarianceCurve(gamma=gamma, lambda_grid=lam, v=v, v1=v1, v2=v2)
 
 
 @dataclass(frozen=True)
@@ -282,13 +270,15 @@ def _operator_norm_statistic(m: TruncatedOperatorModel, lam: float) -> float:
         v = np.asarray(v).ravel()
         return d * v - B.T @ (B @ v) / n
 
-    op = LinearOperator((len(mu), len(mu)), matvec=matvec, dtype=float)
-    try:
-        vals = eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-8)
-        return float(abs(vals[0]))
-    except Exception:
-        A = np.diag(d) - B.T @ B / n
-        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    # Lanczos needs more than one mode; the dense norm also covers its non-convergence
+    if len(mu) > 1:
+        op = LinearOperator((len(mu), len(mu)), matvec=matvec, dtype=float)
+        try:
+            return float(abs(eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-8)[0]))
+        except ArpackNoConvergence:
+            pass
+    A = np.diag(d) - B.T @ B / n
+    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
 def concentration_trial(

@@ -3,8 +3,10 @@
 A :class:`Spectrum` holds a truncated non-increasing sequence of positive
 eigenvalues mu_i sandwiched between constant multiples of (i (log i)^zeta)^(-beta).
 All quantities here depend on the eigenvalues alone: effective dimension,
-embedding norms and the numerical embedding index, predicted error-growth
-exponents, and the small-lambda envelope of the closed-form variance sum.
+embedding norms M_alpha in closed form (the eigenfunctions evaluated at
+x = 0 for the 1-d bases, per-degree multiplicities on the sphere) and the
+numerical embedding index, predicted error-growth exponents, and the
+small-lambda envelope of the closed-form variance sum.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ __all__ = [
     "estimate_alpha_star",
     "theoretical_exponent",
     "v2_envelope",
-    "curve_to_csv",
 ]
 
 # Relative shrink of partial-sum increments required to declare a series
 # convergent (Cauchy-tail criterion).
 CAUCHY_EPS = 1e-6
+# bisection width of the numerical embedding index
+ALPHA_STAR_TOL = 1e-4
 
 
 class DivergentEmbedding(ArithmeticError):
@@ -141,73 +144,56 @@ class EmbeddingReport:
 
     alpha: float
     m_alpha: float
-    alpha_star_estimate: float
-    method: str  # closed_form_cosine | closed_form_sphere | grid_sup
-    m_at_alpha_star_finite: bool
+    method: str  # closed_form_cosine | closed_form_circle | closed_form_sphere
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _embedding_terms(kernel_spec, alpha: float, grid=None):
+def _embedding_terms(kernel_spec, alpha: float):
     """Per-index terms of the embedding series and the method label.
 
-    Dispatches on the kernel description:
-    * a spectral kernel with the cosine basis attains the sup at x = 0 where
-      every squared eigenfunction equals its max (1 for the constant mode, 2
-      for the rest), giving a closed form;
     * a dot-product spectrum on the sphere gives sum_k a_k^alpha N(d, k);
-    * anything else falls back to a sup over the provided grid.
+    * a spectral kernel attains the sup at x = 0 for both of its bases: every
+      cosine mode squares to its maximum there, and each circle sine mode,
+      which vanishes at 0, pairs with a cosine mode of larger eigenvalue.
     """
     if hasattr(kernel_spec, "a") and hasattr(kernel_spec, "d"):
         terms = kernel_spec.a**alpha * kernel_spec.multiplicities()
         return terms, "closed_form_sphere"
-    if hasattr(kernel_spec, "spectrum"):
-        spec = kernel_spec.spectrum
-        if getattr(kernel_spec, "basis", None) == "cosine_unit_interval":
-            weights = np.full(spec.size, 2.0)
-            weights[0] = 1.0
-            return spec.mu**alpha * weights, "closed_form_cosine"
-        if grid is None:
-            raise ValueError("a sample grid is required for this basis")
-        E2 = kernel_spec.basis_matrix(np.asarray(grid, dtype=float)) ** 2
-        # terms of the series at the grid point realizing the sup
-        vals = E2 * spec.mu**alpha
-        x_star = int(np.argmax(vals.sum(axis=1)))
-        return vals[x_star], "grid_sup"
-    # bare Spectrum: treat eigenfunctions as uniformly bounded by 1
-    return kernel_spec.mu**alpha, "grid_sup"
+    method = "closed_form_" + kernel_spec.basis.split("_")[0]  # cosine | circle
+    e0_sq = kernel_spec.basis_matrix(0.0)[0] ** 2
+    # the sine modes add nothing at 0; leaving them out indexes the tail test by frequency
+    return (kernel_spec.spectrum.mu**alpha * e0_sq)[e0_sq > 0], method
 
 
-def estimate_alpha_star(kernel_spec, tol: float = 1e-4, grid=None) -> float:
+def estimate_alpha_star(kernel_spec) -> float:
     """Numerical embedding index: bisect on alpha over series convergence.
 
     The infimum itself may or may not be attained; this returns the smallest
-    alpha (within ``tol``) at which the truncated series passes the
+    alpha (within ``ALPHA_STAR_TOL``) at which the truncated series passes the
     Cauchy-tail test.
     """
     def converges(a: float) -> bool:
-        terms, _ = _embedding_terms(kernel_spec, a, grid=grid)
-        return _series_converges(terms)
+        return _series_converges(_embedding_terms(kernel_spec, a)[0])
 
     if not converges(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > ALPHA_STAR_TOL:
         mid = 0.5 * (lo + hi)
         if converges(mid):
             hi = mid
         else:
             lo = mid
     # the index can never fall below 1/beta when the decay rate is known
-    spec = getattr(kernel_spec, "spectrum", kernel_spec)
-    beta = getattr(spec, "beta", None)
+    beta = getattr(getattr(kernel_spec, "spectrum", None), "beta", None)
     if beta is not None:
         hi = max(hi, 1.0 / beta)
     return hi
 
 
-def embedding_norm(kernel_spec, alpha: float, grid=None) -> EmbeddingReport:
+def embedding_norm(kernel_spec, alpha: float) -> EmbeddingReport:
     """Embedding operator norm M_alpha of the alpha-power space into sup norm.
 
     Raises :class:`DivergentEmbedding` when the defining series fails the
@@ -215,21 +201,13 @@ def embedding_norm(kernel_spec, alpha: float, grid=None) -> EmbeddingReport:
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1] (got {alpha})")
-    terms, method = _embedding_terms(kernel_spec, alpha, grid=grid)
+    terms, method = _embedding_terms(kernel_spec, alpha)
     if not _series_converges(terms):
         raise DivergentEmbedding(
             f"embedding series diverges at alpha={alpha} "
             f"(increment ratio {_increment_ratio(terms):.6f})"
         )
-    alpha_star = estimate_alpha_star(kernel_spec, grid=grid)
-    star_terms, _ = _embedding_terms(kernel_spec, alpha_star, grid=grid)
-    return EmbeddingReport(
-        alpha=alpha,
-        m_alpha=float(np.sqrt(np.sum(terms))),
-        alpha_star_estimate=alpha_star,
-        method=method,
-        m_at_alpha_star_finite=_series_converges(star_terms),
-    )
+    return EmbeddingReport(alpha=alpha, m_alpha=float(np.sqrt(np.sum(terms))), method=method)
 
 
 @dataclass(frozen=True)
@@ -276,7 +254,7 @@ class EnvelopeCurve:
     target_slope: float  # gamma + 1/beta
 
     def to_csv(self, path) -> None:
-        curve_to_csv(path, self.lambda_grid, self.values)
+        _write_csv(path, "lambda,value", zip(self.lambda_grid, self.values))
 
 
 def v2_envelope(s: Spectrum, gamma: float, lambda_grid) -> EnvelopeCurve:
@@ -318,8 +296,3 @@ def _write_csv(path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def curve_to_csv(path, lambdas, values) -> None:
-    """Write a (lambda, value) curve with the canonical header."""
-    _write_csv(path, "lambda,value", zip(lambdas, values))

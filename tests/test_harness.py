@@ -250,6 +250,40 @@ class TestInconsistencyExperiment:
         result = run_inconsistency_experiment(cfg)
         assert all(np.isfinite(result.mean_errors))
 
+    def test_single_mode_builds_two_basis_matrices_per_fit(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from rkhslab import SpectralKernel
+
+        calls = []
+        original = SpectralKernel.basis_matrix
+
+        def counting(self, x):
+            calls.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(SpectralKernel, "basis_matrix", counting)
+        cfg = dataclasses.replace(
+            small_inconsistency_config(tmp_path), f_star="single_mode", f_star_b1=1.7
+        )
+        result = run_inconsistency_experiment(cfg)
+        assert result.success_counts == [4, 4, 4]
+        # one Gram matrix for the fit, one basis matrix for its L2 coefficients
+        assert sorted(calls) == sorted(2 * [n for n in cfg.n_grid for _ in range(4)])
+
+    def test_zero_amplitude_mode_matches_zero_target(self, tmp_path):
+        import dataclasses
+
+        zero = small_inconsistency_config(tmp_path / "zero")
+        mode = dataclasses.replace(
+            zero, output_dir=str(tmp_path / "mode"), f_star="single_mode", f_star_b1=0.0
+        )
+        run_inconsistency_experiment(zero)
+        run_inconsistency_experiment(mode)
+        assert (tmp_path / "zero" / "errors.csv").read_bytes() == (
+            tmp_path / "mode" / "errors.csv"
+        ).read_bytes()
+
 
 class TestCli:
     def write_config(self, tmp_path, extra=None):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import rkhslab.operators as operators
 from rkhslab import (
     IllConditionedGram,
     NotInPowerSpace,
@@ -306,6 +308,49 @@ class TestEmbeddingInequality:
             w = m.mu ** ((1.0 - gamma) / 2.0) / (m.mu + lam)
             norms = np.sqrt(np.sum((m.psi * w) ** 2, axis=1))
             assert np.all(norms <= m_alpha * lam ** (-(gamma + alpha) / 2.0) + 1e-12)
+
+
+class TestOperatorNormStatistic:
+    @staticmethod
+    def dense_norm(m, lam):
+        B = m.psi / np.sqrt(m.mu + lam)
+        return np.max(np.abs(np.linalg.eigvalsh(np.diag(m.mu / (m.mu + lam)) - B.T @ B / m.n)))
+
+    @staticmethod
+    def fail_with(monkeypatch, err):
+        def eigsh(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr(operators, "eigsh", eigsh)
+
+    @staticmethod
+    def model(k=SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))):
+        return build_operator_model(k, np.random.default_rng(11).random(16))
+
+    def test_lanczos_matches_dense_norm(self):
+        m = self.model()
+        assert operators._operator_norm_statistic(m, 0.05) == pytest.approx(
+            self.dense_norm(m, 0.05), rel=1e-6
+        )
+
+    def test_falls_back_to_dense_norm_without_convergence(self, monkeypatch):
+        self.fail_with(monkeypatch, ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0))))
+        m = self.model()
+        assert operators._operator_norm_statistic(m, 0.05) == pytest.approx(
+            self.dense_norm(m, 0.05), rel=1e-12
+        )
+
+    def test_other_errors_propagate(self, monkeypatch):
+        self.fail_with(monkeypatch, TypeError("forced"))
+        with pytest.raises(TypeError, match="forced"):
+            operators._operator_norm_statistic(self.model(), 0.05)
+
+    def test_one_mode_uses_the_dense_norm(self, monkeypatch):
+        self.fail_with(monkeypatch, TypeError("Lanczos called with one mode"))
+        m = self.model(one_mode_kernel())
+        assert operators._operator_norm_statistic(m, 0.05) == pytest.approx(
+            self.dense_norm(m, 0.05), abs=1e-15
+        )
 
 
 @pytest.fixture(scope="module")

@@ -116,8 +116,22 @@ class TestEmbeddingNorm:
     def test_json_roundtrip(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 100))
         payload = json.loads(embedding_norm(k, 1.0).to_json())
+        assert set(payload) == {"alpha", "m_alpha", "method"}
         assert payload["method"] == "closed_form_cosine"
         assert payload["m_alpha"] > 0
+
+    @pytest.mark.parametrize(
+        "basis, method",
+        [("cosine_unit_interval", "closed_form_cosine"), ("circle_fourier", "closed_form_circle")],
+    )
+    @pytest.mark.parametrize("M", [7, 8, 64])
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    def test_closed_form_is_the_sup_over_a_fine_grid(self, basis, method, M, alpha):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
+        rep = embedding_norm(k, alpha)
+        sums = k.basis_matrix(np.linspace(0.0, 1.0, 20001)) ** 2 @ k.spectrum.mu**alpha
+        assert rep.m_alpha**2 == pytest.approx(np.max(sums), rel=1e-12)
+        assert rep.method == method
 
 
 class TestAlphaStar:
@@ -129,6 +143,10 @@ class TestAlphaStar:
 
     def test_close_to_inverse_beta_for_bounded_basis(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 50_000))
+        assert estimate_alpha_star(k) == pytest.approx(0.5, abs=0.02)
+
+    def test_circle_close_to_inverse_beta(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 50_000), basis="circle_fourier")
         assert estimate_alpha_star(k) == pytest.approx(0.5, abs=0.02)
 
 
