@@ -21,6 +21,13 @@ from .harness import (
 __all__ = ["main"]
 
 
+def _thread_count(text: str) -> int:
+    threads = int(text)
+    if threads < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or a positive integer (got {threads})")
+    return threads
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rkhslab", description="Variance-curve and interpolation-error experiments."
@@ -35,7 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output directory")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads; 0 selects the CPU count"
+            "--threads",
+            type=_thread_count,
+            default=1,
+            help="worker threads; 0 selects the CPU count",
         )
     return parser
 
@@ -54,7 +64,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    threads = args.threads or os.cpu_count() or 1
 
     try:
         if args.command == "variance":

@@ -6,6 +6,9 @@ Two families are provided:
   with an explicit orthonormal basis (cosines on [0, 1] under Lebesgue
   measure, or Fourier modes on the unit circle).  The cosine basis is
   uniformly bounded by sqrt(2), which pins the embedding index at 1/beta.
+  The basis matrix is built by blocked angle addition, so sines and cosines
+  are taken only on small tables, and a Gram matrix is one symmetric product
+  P P^T of the basis matrix scaled by sqrt(mu).
 * :class:`DotProductSpectrum` -- a kernel on the sphere S^d depending only on
   t = <x, x'>, diagonalized per degree with multiplicities N(d, k) and
   Gegenbauer polynomials normalized to P_k(1) = 1.
@@ -49,6 +52,8 @@ T_CLAMP = 1e-12
 QUAD_MIN_ORDER = 64
 QUAD_RTOL = 1e-6
 QUAD_MAX_DOUBLINGS = 8
+# columns per block of the angle-addition basis evaluation
+HARMONIC_BLOCK = 64
 
 
 class DomainError(ValueError):
@@ -83,20 +88,47 @@ class SpectralKernel:
     def basis_matrix(self, x) -> np.ndarray:
         """Evaluate all basis functions: rows are points, columns indices."""
         x = self._check_domain(x)
-        M = self.size
-        E = np.empty((len(x), M))
+        E = np.empty((len(x), self.size))
         E[:, 0] = 1.0
-        if M > 1:
-            k = np.arange(1, M, dtype=float)
-            if self.basis == "cosine_unit_interval":
-                E[:, 1:] = math.sqrt(2.0) * np.cos(np.pi * np.outer(x, k))
-            else:
-                # circle: pairs sqrt2 cos(2 pi j x), sqrt2 sin(2 pi j x)
-                idx = np.arange(1, M)
-                j = (idx + 1) // 2
-                phase = 2.0 * np.pi * np.outer(x, j)
-                E[:, 1:] = math.sqrt(2.0) * np.where(idx % 2 == 1, np.cos(phase), np.sin(phase))
+        if self.basis == "cosine_unit_interval":
+            _harmonics(np.pi * x, E[:, 1:])
+        else:
+            # circle: pairs sqrt2 cos(2 pi j x), sqrt2 sin(2 pi j x)
+            _harmonics(2.0 * np.pi * x, E[:, 1::2], E[:, 2::2])
         return E
+
+
+def _harmonics(theta: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray | None = None):
+    """Write sqrt2 cos(k theta) into column k - 1 of ``cos_out``, k = 1..K.
+
+    ``sin_out`` (at most K columns) likewise receives sqrt2 sin(k theta).
+    cos((a + j) t) = cos(a t) cos(j t) - sin(a t) sin(j t), and the matching
+    sine rule, put the transcendentals on an n x B table of inner multiples
+    j = 1..B and an n x ceil(K / B) table of block starts a = 0, B, 2B, ...;
+    each column block is written in place, so no n x K temporary is formed.
+    The rounding of theta dominates the error, as for direct evaluation.
+    """
+    K = cos_out.shape[1]
+    if K == 0:
+        return
+    B = min(HARMONIC_BLOCK, K)
+    inner = np.outer(theta, np.arange(1, B + 1))
+    c = math.sqrt(2.0) * np.cos(inner)
+    s = math.sqrt(2.0) * np.sin(inner)
+    starts = np.outer(theta, np.arange(0, K, B))
+    C, S = np.cos(starts), np.sin(starts)
+    t1, t2 = np.empty_like(c), np.empty_like(c)
+    for b, a in enumerate(range(0, K, B)):
+        Ca, Sa = C[:, b, None], S[:, b, None]
+        w = min(B, K - a)
+        np.multiply(c[:, :w], Ca, out=t1[:, :w])
+        np.multiply(s[:, :w], Sa, out=t2[:, :w])
+        np.subtract(t1[:, :w], t2[:, :w], out=cos_out[:, a : a + w])
+        w = 0 if sin_out is None else min(B, sin_out.shape[1] - a)
+        if w > 0:
+            np.multiply(s[:, :w], Ca, out=t1[:, :w])
+            np.multiply(c[:, :w], Sa, out=t2[:, :w])
+            np.add(t1[:, :w], t2[:, :w], out=sin_out[:, a : a + w])
 
 
 def kernel_eval(k: SpectralKernel, x, y) -> float | np.ndarray:
@@ -117,8 +149,11 @@ def fractional_power_kernel_eval(k: SpectralKernel, s: float, x, y) -> float | n
 
 def gram_matrix(k: SpectralKernel, X, power: float = 1.0) -> np.ndarray:
     """Gram matrix of the (fractional-power) kernel over a point set."""
-    E = k.basis_matrix(X)
-    return (E * k.spectrum.mu**power) @ E.T
+    P = k.basis_matrix(X)
+    P *= np.sqrt(k.spectrum.mu**power)
+    # one buffer on both sides makes numpy call BLAS syrk: half the flops of
+    # a general product, and an exactly symmetric result
+    return P @ P.T
 
 
 def multiplicity(d: int, k: int) -> int:

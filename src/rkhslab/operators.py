@@ -92,8 +92,10 @@ class TruncatedOperatorModel:
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # thin SVD U, s, Vt of psi, shared by every lambda and gamma
-        return np.linalg.svd(self.psi, full_matrices=False)
+        # thin SVD U, s, Vt of psi, shared by every lambda and gamma; psi is
+        # wide, and factoring the tall psi^T lets LAPACK take its faster QR path
+        Ut, s, V = np.linalg.svd(self.psi.T, full_matrices=False)
+        return V.T, s, Ut.T
 
 
 def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
@@ -101,8 +103,8 @@ def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
     X = np.atleast_1d(np.asarray(X, dtype=float))
     if len(X) < 1:
         raise ValueError("need at least one sample point")
-    E = kernel.basis_matrix(X)
-    psi = E * np.sqrt(kernel.spectrum.mu)
+    psi = kernel.basis_matrix(X)
+    psi *= np.sqrt(kernel.spectrum.mu)
     return TruncatedOperatorModel(kernel=kernel, X=X, psi=psi)
 
 
@@ -159,8 +161,10 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     """
     X = np.atleast_1d(np.asarray(X, dtype=float))
     n = len(X)
-    G = gram_matrix(kernel, X)
-    w, Q = np.linalg.eigh(G / n + lam * np.eye(n))
+    A = gram_matrix(kernel, X)
+    A /= n
+    A.flat[:: n + 1] += lam
+    w, Q = np.linalg.eigh(A)
     if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
         raise IllConditionedGram(np.inf if w[0] <= 0 else w[-1] / w[0])
     K2 = gram_matrix(kernel, X, power=2.0 - gamma)

@@ -96,8 +96,8 @@ def ridge_fit(
     """
     if lam < 0 or jitter < 0:
         raise ValueError("lambda and jitter must be nonnegative")
-    G = gram_matrix(kernel, s.X)
-    A = G + (s.n * lam + jitter) * np.eye(s.n)
+    A = gram_matrix(kernel, s.X)
+    A.flat[:: s.n + 1] += s.n * lam + jitter
     try:
         alpha = cho_solve(cho_factor(A, lower=True), s.Y)
     except np.linalg.LinAlgError:

@@ -322,6 +322,13 @@ class TestCli:
         assert cli_main(["inconsistency", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_threads_is_a_usage_error(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["inconsistency", "--config", str(path), "--threads", "-3"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_seed_override_changes_outputs(self, tmp_path):
         path = self.write_config(tmp_path)
         for seed, name in ((1, "r1"), (2, "r2")):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,52 @@ class TestKernelEval:
         x = np.linspace(0, 1, 50)
         diag = np.diag(gram_matrix(cosine_kernel, x))
         assert np.all(diag <= bound + 1e-12)
+
+
+class TestBasisMatrix:
+    @pytest.mark.parametrize("M", [2, 7, 63, 64, 65, 4096])
+    @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
+    def test_matches_long_double_reference(self, basis, M):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
+        x = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(M).random(40)])
+        E = k.basis_matrix(x)
+        assert E.shape == (len(x), M)
+        assert np.all(E[:, 0] == 1.0)
+        idx = np.arange(1, M)
+        pi = np.arccos(np.longdouble(-1.0))
+        if basis == "cosine_unit_interval":
+            ref = np.cos(pi * np.outer(x.astype(np.longdouble), idx))
+        else:
+            phase = 2 * pi * np.outer(x.astype(np.longdouble), (idx + 1) // 2)
+            ref = np.where(idx % 2 == 1, np.cos(phase), np.sin(phase))
+        ref *= np.sqrt(np.longdouble(2.0))
+        assert float(np.max(np.abs(E[:, 1:] - ref))) <= 1e-11
+
+    def test_peak_memory_is_the_output(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 4096))
+        x = np.random.default_rng(5).random(256)
+        tracemalloc.start()
+        try:
+            k.basis_matrix(x)
+            basis_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            gram_matrix(k, x)
+            gram_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis_peak <= 1.25 * 256 * 4096 * 8
+        assert gram_peak <= 1.25 * (256 * 4096 + 256**2) * 8
+
+
+class TestGramMatrix:
+    @pytest.mark.parametrize("power", [1.0, 1.5])
+    def test_symmetric_product_matches_general_product(self, cosine_kernel, power):
+        X = np.random.default_rng(6).random(70)
+        G = gram_matrix(cosine_kernel, X, power=power)
+        E = cosine_kernel.basis_matrix(X)
+        ref = (E * cosine_kernel.spectrum.mu**power) @ E.T
+        assert np.array_equal(G, G.T)
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestBasisOrthonormality:

@@ -185,6 +185,14 @@ class TestVCoefficientRoute:
         v_lambda_coefficient_route(m, [0.0, 0.25, 0.5], 0.0)
         assert len(calls) == 1
 
+    def test_svd_factors_reconstruct_psi(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 256))
+        m = build_operator_model(k, np.random.default_rng(12).random(40))
+        U, s, Vt = m._svd
+        assert U.shape == (40, 40) and s.shape == (40,) and Vt.shape == (40, 256)
+        assert np.linalg.norm((U * s) @ Vt - m.psi) <= 1e-12 * np.linalg.norm(m.psi)
+        assert np.allclose(U.T @ U, np.eye(40), rtol=0.0, atol=1e-12)
+
 
 class TestVGramRoute:
     def test_scalar_instance(self):
