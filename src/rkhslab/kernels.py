@@ -6,9 +6,11 @@ Two families are provided:
   with an explicit orthonormal basis (cosines on [0, 1] under Lebesgue
   measure, or Fourier modes on the unit circle).  The cosine basis is
   uniformly bounded by sqrt(2), which pins the embedding index at 1/beta.
-  The basis matrix is built by blocked angle addition, so sines and cosines
-  are taken only on small tables, and a Gram matrix is one symmetric product
-  P P^T of the basis matrix scaled by sqrt(mu).
+  The basis matrix is one batched matrix product with inner dimension 2:
+  angle addition turns each block of harmonics into the row
+  (cos a theta, sin a theta) times a small per-point sin/cos table, so
+  sines and cosines are taken only on those tables.  A Gram matrix is one
+  symmetric product P P^T of the basis matrix scaled by sqrt(mu).
 * :class:`DotProductSpectrum` -- a kernel on the sphere S^d depending only on
   t = <x, x'>, diagonalized per degree with multiplicities N(d, k) and
   Gegenbauer polynomials normalized to P_k(1) = 1.
@@ -81,7 +83,8 @@ class SpectralKernel:
 
     def _check_domain(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any((x < 0.0) | (x > 1.0)):
+        # written as a negated inclusion so that NaN fails it too
+        if not np.all((x >= 0.0) & (x <= 1.0)):
             raise DomainError("points must lie in [0, 1]")
         return x
 
@@ -94,41 +97,57 @@ class SpectralKernel:
             _harmonics(np.pi * x, E[:, 1:])
         else:
             # circle: pairs sqrt2 cos(2 pi j x), sqrt2 sin(2 pi j x)
-            _harmonics(2.0 * np.pi * x, E[:, 1::2], E[:, 2::2])
+            _harmonics(2.0 * np.pi * x, E[:, 1:], pairs=True)
         return E
 
 
-def _harmonics(theta: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray | None = None):
-    """Write sqrt2 cos(k theta) into column k - 1 of ``cos_out``, k = 1..K.
+def _harmonics(theta: np.ndarray, out: np.ndarray, pairs: bool = False):
+    """Write sqrt2 cos(k theta), k = 1, 2, ..., into the columns of ``out``.
 
-    ``sin_out`` (at most K columns) likewise receives sqrt2 sin(k theta).
-    cos((a + j) t) = cos(a t) cos(j t) - sin(a t) sin(j t), and the matching
-    sine rule, put the transcendentals on an n x B table of inner multiples
-    j = 1..B and an n x ceil(K / B) table of block starts a = 0, B, 2B, ...;
-    each column block is written in place, so no n x K temporary is formed.
+    With ``pairs`` the columns interleave sqrt2 cos(k theta), sqrt2 sin(k theta).
+    Angle addition, cos((a + j) t) = cos(a t) cos(j t) - sin(a t) sin(j t) and
+    sin((a + j) t) = sin(a t) cos(j t) + cos(a t) sin(j t), makes a block of
+    B harmonics k = a + j, j = 1..B, at one point the row (cos a t, sin a t)
+    times a 2 x B table (2 x 2B with pairs) of sqrt2-scaled cos(j t), sin(j t).
+    Over all points and block starts a = 0, B, 2B, ... that is one batched
+    ``matmul`` with inner dimension 2, written through a view of ``out``;
+    a second small one fills a ragged last block.  Sines and cosines are
+    taken only on the n x B table and the n x ceil(K / B) block starts.
     The rounding of theta dominates the error, as for direct evaluation.
     """
-    K = cos_out.shape[1]
+    n, cols = out.shape
+    w = 2 if pairs else 1
+    K = -(-cols // w)  # harmonics, the last one cosine-only if cols is odd
     if K == 0:
         return
     B = min(HARMONIC_BLOCK, K)
-    inner = np.outer(theta, np.arange(1, B + 1))
-    c = math.sqrt(2.0) * np.cos(inner)
-    s = math.sqrt(2.0) * np.sin(inner)
-    starts = np.outer(theta, np.arange(0, K, B))
-    C, S = np.cos(starts), np.sin(starts)
-    t1, t2 = np.empty_like(c), np.empty_like(c)
-    for b, a in enumerate(range(0, K, B)):
-        Ca, Sa = C[:, b, None], S[:, b, None]
-        w = min(B, K - a)
-        np.multiply(c[:, :w], Ca, out=t1[:, :w])
-        np.multiply(s[:, :w], Sa, out=t2[:, :w])
-        np.subtract(t1[:, :w], t2[:, :w], out=cos_out[:, a : a + w])
-        w = 0 if sin_out is None else min(B, sin_out.shape[1] - a)
-        if w > 0:
-            np.multiply(s[:, :w], Ca, out=t1[:, :w])
-            np.multiply(c[:, :w], Sa, out=t2[:, :w])
-            np.add(t1[:, :w], t2[:, :w], out=sin_out[:, a : a + w])
+    # table[i, :, j - 1] = sqrt2 (cos j t_i, -sin j t_i), each column followed
+    # by sqrt2 (sin j t_i, cos j t_i) with pairs
+    table = np.empty((n, 2, B, w))
+    c, s = table[:, 0, :, 0], table[:, 1, :, 0]
+    np.outer(theta, np.arange(1, B + 1), out=c)
+    np.sin(c, out=s)
+    np.cos(c, out=c)
+    c *= math.sqrt(2.0)
+    s *= -math.sqrt(2.0)
+    if pairs:
+        np.negative(s, out=table[:, 0, :, 1])
+        table[:, 1, :, 1] = c
+    table = table.reshape(n, 2, B * w)
+    # starts[i, b] = (cos a t_i, sin a t_i) for a = b B
+    starts = np.empty((n, -(-K // B), 2))
+    a = starts[:, :, 0]
+    np.outer(theta, np.arange(0, K, B), out=a)
+    np.sin(a, out=starts[:, :, 1])
+    np.cos(a, out=a)
+    full, tail = divmod(cols, B * w)
+    if full:
+        # splitting the unit-stride last axis keeps this a view of ``out``
+        blocks = out[:, : full * B * w].reshape(n, full, B * w)
+        np.matmul(starts[:, :full], table, out=blocks)
+    if tail:
+        last = out[:, full * B * w :].reshape(n, 1, tail)
+        np.matmul(starts[:, full:], table[:, :, :tail], out=last)
 
 
 def kernel_eval(k: SpectralKernel, x, y) -> float | np.ndarray:

@@ -98,9 +98,15 @@ def ridge_fit(
         raise ValueError("lambda and jitter must be nonnegative")
     A = gram_matrix(kernel, s.X)
     A.flat[:: s.n + 1] += s.n * lam + jitter
+    diag = A.diagonal().copy()
     try:
-        alpha = cho_solve(cho_factor(A, lower=True), s.Y)
+        # A is exactly symmetric, so A.T is the Fortran-ordered array LAPACK
+        # factors in place, with no copy of the n x n matrix
+        alpha = cho_solve(cho_factor(A.T, lower=True, overwrite_a=True), s.Y)
     except np.linalg.LinAlgError:
+        # the factorization wrote over the diagonal and upper triangle of A
+        # only; the eigensolvers below read the lower triangle
+        np.fill_diagonal(A, diag)
         if lam == 0.0 and jitter == 0.0:
             w = np.linalg.eigvalsh(A)
             cond = np.inf if w[0] <= 0 else w[-1] / w[0]

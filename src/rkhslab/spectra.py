@@ -121,14 +121,16 @@ def _increment_ratio(terms: np.ndarray) -> float:
     """Ratio of consecutive dyadic partial-sum increments of a term sequence.
 
     For terms ~ i^(-p) the ratio approaches 2^(1-p): strictly below 1 exactly
-    when the series converges.
+    when the series converges.  The blocks [q, 2q) and [2q, 4q), q = m // 4,
+    are exactly dyadic whatever m is mod 4.
     """
     m = len(terms)
     if m < 8:
         # too short to resolve divergence; a truncated sum this small is finite
         return 0.0
-    s1 = float(np.sum(terms[m // 4 : m // 2]))
-    s2 = float(np.sum(terms[m // 2 :]))
+    q = m // 4
+    s1 = float(np.sum(terms[q : 2 * q]))
+    s2 = float(np.sum(terms[2 * q : 4 * q]))
     if s1 == 0.0:
         return 0.0
     return s2 / s1

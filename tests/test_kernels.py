@@ -44,6 +44,13 @@ class TestKernelEval:
         with pytest.raises(DomainError):
             kernel_eval(cosine_kernel, -0.1, 0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_domain_check_rejects_non_finite(self, cosine_kernel, bad):
+        with pytest.raises(DomainError):
+            kernel_eval(cosine_kernel, bad, 0.5)
+        with pytest.raises(DomainError):
+            cosine_kernel.basis_matrix(np.array([0.2, bad]))
+
     def test_positive_semidefinite_grams(self, cosine_kernel):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -61,7 +68,9 @@ class TestKernelEval:
 
 
 class TestBasisMatrix:
-    @pytest.mark.parametrize("M", [2, 7, 63, 64, 65, 4096])
+    # circle: M = 129 is one full block of 64 cos/sin pairs, and M = 130 adds
+    # a cosine-only tail column
+    @pytest.mark.parametrize("M", [2, 7, 63, 64, 65, 129, 130, 4096])
     @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
     def test_matches_long_double_reference(self, basis, M):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from rkhslab import (
     NotInPowerSpace,
     SampleSet,
+    SingularGram,
     SpectralKernel,
     Spectrum,
     build_operator_model,
     estimator_l2_coefficients,
     gamma_error_sq,
+    gram_matrix,
     make_power_law_spectrum,
     min_norm_fit,
     operator_rep_check,
@@ -83,6 +86,44 @@ class TestRidgeFit:
             for lam in np.geomspace(1e-6, 1.0, 10)
         ]
         assert np.all(np.diff(norms) <= 1e-10)
+
+    def test_alpha_equals_cholesky_solve_of_the_shifted_gram(self, cosine_kernel):
+        rng = np.random.default_rng(7)
+        s = SampleSet(rng.random(40), rng.standard_normal(40))
+        lam = 1e-4
+        G = gram_matrix(cosine_kernel, s.X)
+        G.flat[:: s.n + 1] += s.n * lam
+        expected = cho_solve(cho_factor(G, lower=True), s.Y)
+        assert np.array_equal(ridge_fit(cosine_kernel, s, lam).alpha, expected)
+
+    def test_singular_gram_condition_reads_the_unfactored_matrix(self, monkeypatch):
+        # 48 points and 16 modes: the Gram matrix has rank 16 and Cholesky fails
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 16))
+        s = SampleSet(np.random.default_rng(3).random(48), np.ones(48))
+        G = gram_matrix(k, s.X)
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def spy(A, *args, **kw):
+            seen.append(np.array(A))
+            return real(A, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        with pytest.raises(SingularGram):
+            ridge_fit(k, s, 0.0)
+        # the eigensolver reads the lower triangle, diagonal included
+        assert np.array_equal(np.tril(seen[0]), np.tril(G))
+
+    def test_eigh_fallback_after_a_failed_factorization(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 16))
+        rng = np.random.default_rng(3)
+        s = SampleSet(rng.random(48), rng.standard_normal(48))
+        lam = 1e-300  # lost in the rounding of the diagonal: the system stays singular
+        G = gram_matrix(k, s.X)
+        G.flat[:: s.n + 1] += s.n * lam
+        w, Q = eigh(G)
+        w = np.maximum(w, np.max(w) * np.finfo(float).eps)
+        assert np.array_equal(ridge_fit(k, s, lam).alpha, Q @ ((Q.T @ s.Y) / w))
 
     def test_eigh_fallback_returns_dual_vector(self, cosine_kernel, monkeypatch):
         import rkhslab.solvers as solvers

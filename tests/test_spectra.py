@@ -102,6 +102,17 @@ class TestEmbeddingNorm:
         with pytest.raises(DivergentEmbedding):
             embedding_norm(k, 0.4)
 
+    @pytest.mark.parametrize("M", [13, 17, 21, 25, 29])
+    def test_convergent_short_series_with_unequal_quarters(self, M):
+        # M = 1 (mod 4): the blocks of the tail test must still be dyadic
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
+        assert np.isfinite(embedding_norm(k, 0.55).m_alpha)
+
+    def test_divergent_at_the_index_itself(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 4096))
+        with pytest.raises(DivergentEmbedding):
+            embedding_norm(k, 0.5)
+
     def test_alpha_one_always_finite(self):
         for beta in (1.5, 2.0, 3.0):
             k = SpectralKernel(make_power_law_spectrum(beta, 0.0, 5000))
