@@ -15,6 +15,7 @@ from rkhslab import (
     v2_envelope,
 )
 from rkhslab.kernels import DotProductSpectrum
+from rkhslab.spectra import _series_converges
 
 
 class TestMakePowerLawSpectrum:
@@ -102,16 +103,27 @@ class TestEmbeddingNorm:
         with pytest.raises(DivergentEmbedding):
             embedding_norm(k, 0.4)
 
-    @pytest.mark.parametrize("M", [13, 17, 21, 25, 29])
-    def test_convergent_short_series_with_unequal_quarters(self, M):
-        # M = 1 (mod 4): the blocks of the tail test must still be dyadic
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
+    @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
+    @pytest.mark.parametrize("M", [8, 9, 10, 11, 13, 17, 21, 25, 29])
+    def test_convergent_short_series(self, basis, M):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
         assert np.isfinite(embedding_norm(k, 0.55).m_alpha)
 
-    def test_divergent_at_the_index_itself(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 4096))
+    @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
+    @pytest.mark.parametrize("M", [64, 513, 1000, 4096, 4097])
+    def test_divergent_at_the_index_itself(self, basis, M):
+        # the terms are exactly 1/t (circle) or 2/(t+1) (cosine): a harmonic
+        # tail under either index offset
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
         with pytest.raises(DivergentEmbedding):
             embedding_norm(k, 0.5)
+
+    @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("m", [8, 13, 64, 1000, 50_001])
+    def test_harmonic_tail_rejected_for_any_offset(self, c, m):
+        t = np.arange(m, dtype=float) + c
+        terms = 1.0 / np.where(t > 0, t, 1.0)
+        assert not _series_converges(terms)
 
     def test_alpha_one_always_finite(self):
         for beta in (1.5, 2.0, 3.0):
