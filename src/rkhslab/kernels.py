@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .spectra import Spectrum
 
@@ -288,6 +287,9 @@ def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:
     max(2 (k_max + 1), ``QUAD_MIN_ORDER``) and is doubled until the
     coefficients stabilize to ``QUAD_RTOL``.
     """
+    # scipy.special is imported here, its only use, to keep it out of the package import
+    from scipy.special import roots_jacobi
+
     quad_order = max(2 * (k_max + 1), QUAD_MIN_ORDER)
     nmult = np.array([multiplicity(d, k) for k in range(k_max + 1)], dtype=float)
 

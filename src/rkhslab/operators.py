@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .kernels import SpectralKernel, gram_matrix
 from .spectra import Spectrum, _variance_terms, _write_csv, effective_dimension, embedding_norm
@@ -96,6 +95,11 @@ class TruncatedOperatorModel:
         # wide, and factoring the tall psi^T lets LAPACK take its faster QR path
         Ut, s, V = np.linalg.svd(self.psi.T, full_matrices=False)
         return V.T, s, Ut.T
+
+    @cached_property
+    def _e_sq_sums(self) -> np.ndarray:
+        # sum_i e_l(x_i)^2 = sum_i psi_{il}^2 / mu_l per mode l, shared by every lambda and gamma
+        return np.sum(self.psi**2, axis=0) / self.mu
 
 
 def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
@@ -175,9 +179,7 @@ def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """Population-covariance approximation of V at the sampled points."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive (got {lam})")
-    # e_l(x_i)^2 = psi_{il}^2 / mu_l
-    e_sq_sums = np.sum(m.psi**2, axis=0) / m.mu
-    return float(np.sum(_variance_terms(m.mu, gamma, lam) * e_sq_sums)) / m.n**2
+    return float(np.sum(_variance_terms(m.mu, gamma, lam) * m._e_sq_sums)) / m.n**2
 
 
 def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
@@ -265,6 +267,9 @@ class ConcentrationReport:
 
 def _operator_norm_statistic(m: TruncatedOperatorModel, lam: float) -> float:
     """|| (C + lam)^{-1/2} (C - C_emp) (C + lam)^{-1/2} || with diagonal C."""
+    # scipy.sparse is imported here, its only use, to keep it out of the package import
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     mu = m.mu
     d = mu / (mu + lam)
     B = m.psi / np.sqrt(mu + lam)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -283,6 +286,37 @@ class TestInconsistencyExperiment:
         assert (tmp_path / "zero" / "errors.csv").read_bytes() == (
             tmp_path / "mode" / "errors.csv"
         ).read_bytes()
+
+
+IMPORT_CHECK = """
+import sys, tempfile
+import rkhslab
+
+common = dict(beta=2.0, gamma=0.5, truncation=32, n_grid=(4, 8), replicates=1)
+with tempfile.TemporaryDirectory() as out:
+    rkhslab.run_inconsistency_experiment(rkhslab.ExperimentConfig(**common, output_dir=out + "/i"))
+    rkhslab.run_variance_experiment(
+        rkhslab.ExperimentConfig(**common, lambda_grid=(0.1,), output_dir=out + "/v")
+    )
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_experiments_load_no_heavy_scipy_subpackages():
+    # scipy.linalg is the only scipy subpackage the experiments need
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    for pkg in ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse"):
+        assert pkg not in loaded, f"{pkg} imported by the package or the experiments"
+    assert {"rkhslab", "scipy.linalg", "mpmath"} <= loaded
 
 
 class TestCli:

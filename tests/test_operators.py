@@ -329,7 +329,7 @@ class TestOperatorNormStatistic:
         def eigsh(*args, **kwargs):
             raise err
 
-        monkeypatch.setattr(operators, "eigsh", eigsh)
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", eigsh)
 
     @staticmethod
     def model(k=SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))):

@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from rkhslab import (
     v2_envelope,
 )
 from rkhslab.kernels import DotProductSpectrum
-from rkhslab.spectra import _series_converges
+from rkhslab.spectra import _series_converges, _tail_mass
 
 
 class TestMakePowerLawSpectrum:
@@ -53,6 +54,45 @@ class TestMakePowerLawSpectrum:
     def test_finite_trace(self):
         s = make_power_law_spectrum(2.0, 0.0, 1000)
         assert np.isfinite(s.trace())
+
+
+def closed_form_tail(beta, zeta, M, dps=100):
+    """(beta - 1)^(beta zeta - 1) Gamma(1 - beta zeta, (beta - 1) ln M) at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        b, z = mpmath.mpf(beta), mpmath.mpf(zeta)
+        return (b - 1) ** (b * z - 1) * mpmath.gammainc(1 - b * z, (b - 1) * mpmath.log(M))
+
+
+class TestTailMass:
+    @pytest.mark.parametrize("zeta", [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("beta", [1.001, 1.01, 1.5, 2.0, 3.0, 5.0, 10.0])
+    def test_matches_100_digit_closed_form(self, beta, zeta):
+        for M in (2, 3, 10, 100, 4096, 10**5, 10**7):
+            want = float(closed_form_tail(beta, zeta, M))
+            assert _tail_mass(beta, zeta, M) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("M", [4096, 10**5])
+    def test_slow_tail_with_negative_zeta(self, M):
+        # beta near 1 with zeta < 0: a tail too slow for adaptive quadrature
+        # on a finite interval, about 2.23e6 at both M
+        s = make_power_law_spectrum(1.01, -2.0, M)
+        want = float(closed_form_tail(1.01, -2.0, M))
+        assert want == pytest.approx(2.23e6, rel=2e-3)
+        assert s.tail_mass == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_zeta_zero_is_the_power_tail(self):
+        for beta, M in ((1.5, 10), (2.0, 4096), (10.0, 10**7)):
+            want = M ** (1.0 - beta) / (beta - 1.0)
+            assert _tail_mass(beta, 0.0, M) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("beta,zeta", [(1.5, -1.0), (2.0, 1.0), (3.0, 0.5)])
+    def test_closed_form_is_the_tail_integral(self, beta, zeta):
+        M = 4096
+        with mpmath.workdps(30):
+            integral = mpmath.quad(
+                lambda x: (x * mpmath.log(x) ** zeta) ** (-beta), [M, 10 * M, 1000 * M, mpmath.inf]
+            )
+        assert _tail_mass(beta, zeta, M) == pytest.approx(float(integral), rel=1e-10)
 
 
 class TestEffectiveDimension:
