@@ -42,7 +42,7 @@ print(f"\nestimated embedding index alpha* = {a_star:.4f} (theory 1/beta = 0.5)"
 # The predicted growth exponent of the interpolation error in the
 # gamma-norm, together with its qualitative classification.
 for gamma in (0.0, 0.25, 0.5):
-    rep = theoretical_exponent(gamma, 2.0, 0.0, a_star)
+    rep = theoretical_exponent(gamma, 2.0, a_star)
     print(
         f"gamma = {gamma}: error ~ n^{rep.exponent:.2f}  -> {rep.classification}"
     )

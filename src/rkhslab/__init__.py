@@ -3,7 +3,7 @@
 Subpackages:
 
 * :mod:`rkhslab.spectra` -- eigenvalue sequences, effective dimension,
-  embedding norms/index, predicted exponents, variance-sum envelopes.
+  embedding norms/index, predicted exponents.
 * :mod:`rkhslab.kernels` -- explicit Mercer kernels (cosine basis, dot-product
   kernels on spheres via Gegenbauer polynomials, the ReLU tangent kernel).
 * :mod:`rkhslab.operators` -- truncated covariance models, gamma-norms, and
@@ -60,7 +60,6 @@ from .solvers import (
 from .spectra import (
     DivergentEmbedding,
     EmbeddingReport,
-    EnvelopeCurve,
     ExponentReport,
     Spectrum,
     effective_dimension,
@@ -68,7 +67,6 @@ from .spectra import (
     estimate_alpha_star,
     make_power_law_spectrum,
     theoretical_exponent,
-    v2_envelope,
 )
 from .harness import (
     ConfigError,

@@ -317,7 +317,7 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
     out.mkdir(parents=True, exist_ok=True)
     kernel = cfg.build_kernel()
     alpha_star = 1.0 / cfg.beta  # uniformly bounded basis pins the embedding index
-    pred = theoretical_exponent(cfg.gamma, cfg.beta, cfg.zeta, alpha_star)
+    pred = theoretical_exponent(cfg.gamma, cfg.beta, alpha_star)
     f_coeffs = cfg.f_star_coeffs()
 
     def one(n: int, r: int) -> float:

@@ -195,33 +195,25 @@ def _check_t(t) -> tuple[np.ndarray, bool]:
 def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
     """All P_0..P_{k_max} at the given arguments, normalized so P_k(1) = 1.
 
-    Three-term recurrence for ultraspherical polynomials with parameter
-    (d - 1) / 2; the d = 1 case degenerates to Chebyshev polynomials.
+    The three-term recurrence of the ultraspherical polynomials with parameter
+    nu = (d - 1) / 2, divided through by their values at 1:
+    P_k = (2 (k - 1 + nu) t P_{k-1} - (k - 1) P_{k-2}) / (k - 1 + 2 nu)
+    from P_0 = 1, P_1 = t.  At nu = 0 this is the Chebyshev recurrence.
     """
+    if d < 1 or k_max < 0:
+        raise ValueError(f"need d >= 1 and k_max >= 0 (got d = {d}, k_max = {k_max})")
+    nu = 0.5 * (d - 1)
     P = np.empty((k_max + 1, len(t)))
     P[0] = 1.0
-    if k_max == 0:
-        return P
-    if d == 1:
+    if k_max >= 1:
         P[1] = t
-        for k in range(2, k_max + 1):
-            P[k] = 2.0 * t * P[k - 1] - P[k - 2]
-        return P
-    nu = 0.5 * (d - 1)
-    # run the recurrence at t and at 1 in parallel, then normalize
-    at1 = np.empty(k_max + 1)
-    P[1] = 2.0 * nu * t
-    at1[0], at1[1] = 1.0, 2.0 * nu
     for k in range(2, k_max + 1):
-        P[k] = (2.0 * (k - 1 + nu) * t * P[k - 1] - (k - 2 + 2 * nu) * P[k - 2]) / k
-        at1[k] = (2.0 * (k - 1 + nu) * at1[k - 1] - (k - 2 + 2 * nu) * at1[k - 2]) / k
-    return P / at1[:, None]
+        P[k] = (2.0 * (k - 1 + nu) * t * P[k - 1] - (k - 1) * P[k - 2]) / (k - 1 + 2.0 * nu)
+    return P
 
 
 def gegenbauer_p(k: int, d: int, t) -> float | np.ndarray:
     """Degree-k Gegenbauer polynomial on [-1, 1] with P_k(1) = 1."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
     t, scalar = _check_t(t)
     vals = _gegenbauer_table(k, d, t)[k]
     return float(vals[0]) if scalar else vals

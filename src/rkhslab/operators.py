@@ -259,10 +259,6 @@ class ConcentrationReport:
     operator_norm_median: float
     v1_v2_median: float
     target_probability: float  # 1 - 2 exp(-tau)
-    # optional empirical-route comparison |V - V1| vs kappa M_alpha^2 / (n lam^{gamma+alpha})
-    kappa: float | None = None
-    v_v1_satisfied: float | None = None
-    v_v1_median: float | None = None
 
 
 def _operator_norm_statistic(m: TruncatedOperatorModel, lam: float) -> float:
@@ -299,18 +295,17 @@ def concentration_trial(
     trials: int,
     rng_seed: int,
     gamma: float = 0.0,
-    kappa: float | None = None,
 ) -> ConcentrationReport:
     """Monte Carlo frequencies of the concentration bounds over draws of X.
 
     Per trial the report measures (a) the whitened operator-norm deviation of
     the empirical covariance against its high-probability bound and (b)
     |V1 - V2| against sqrt(tau) M_alpha^2 / (sqrt(2) n^{3/2} lam^{gamma+alpha}).
-    When ``kappa`` is given, |V - V1| is additionally compared with
-    kappa M_alpha^2 / (n lam^{gamma+alpha}).
     """
     if tau < 1:
         raise ValueError(f"tau must be at least 1 (got {tau})")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1 (got {trials})")
     spec = kernel.spectrum
     m_alpha = embedding_norm(kernel, alpha).m_alpha
     n_eff = effective_dimension(spec, lam)
@@ -324,19 +319,12 @@ def concentration_trial(
     v2 = v2_lambda(spec, gamma, lam, n)
 
     rng = np.random.default_rng(rng_seed)
-    op_stats, v_stats, vv1_stats = [], [], []
-    for _ in range(trials):
-        X = rng.random(n)
-        m = build_operator_model(kernel, X)
-        op_stats.append(_operator_norm_statistic(m, lam))
-        v1 = v1_lambda(m, gamma, lam)
-        v_stats.append(abs(v1 - v2))
-        if kappa is not None:
-            v = v_lambda_coefficient_route(m, gamma, lam)
-            vv1_stats.append(abs(v - v1))
-    op_stats = np.array(op_stats)
-    v_stats = np.array(v_stats)
-    report = dict(
+    op_stats, v_stats = np.empty(trials), np.empty(trials)
+    for i in range(trials):
+        m = build_operator_model(kernel, rng.random(n))
+        op_stats[i] = _operator_norm_statistic(m, lam)
+        v_stats[i] = abs(v1_lambda(m, gamma, lam) - v2)
+    return ConcentrationReport(
         n=n,
         lam=lam,
         alpha=alpha,
@@ -353,12 +341,3 @@ def concentration_trial(
         v1_v2_median=float(np.median(v_stats)),
         target_probability=float(1.0 - 2.0 * np.exp(-tau)),
     )
-    if kappa is not None:
-        vv1_stats = np.array(vv1_stats)
-        vv1_bound = kappa * m_alpha**2 / (n * lam ** (gamma + alpha))
-        report.update(
-            kappa=kappa,
-            v_v1_satisfied=float(np.mean(vv1_stats <= vv1_bound)),
-            v_v1_median=float(np.median(vv1_stats)),
-        )
-    return ConcentrationReport(**report)

@@ -138,11 +138,9 @@ def min_norm_fit(kernel: SpectralKernel, s: SampleSet) -> DualSolution:
 
 
 def predict(d: DualSolution, x) -> float | np.ndarray:
-    """Evaluate f(x) = sum_j alpha_j K(x, x_j)."""
+    """Evaluate f(x) = sum_j alpha_j K(x, x_j) = sum_i c_i e_i(x)."""
     scalar = np.isscalar(x)
-    Ex = d.kernel.basis_matrix(x)
-    EX = d.kernel.basis_matrix(d.X)
-    vals = (Ex * d.kernel.spectrum.mu) @ (EX.T @ d.alpha)
+    vals = d.kernel.basis_matrix(x) @ estimator_l2_coefficients(d)
     return float(vals[0]) if scalar else vals
 
 
@@ -186,6 +184,5 @@ def gamma_error_sq(d: DualSolution, f_star_coeffs, gamma: float) -> float:
 
 
 def rkhs_norm_sq(d: DualSolution) -> float:
-    """|| f ||^2 in the hypothesis space, alpha^T K(X, X) alpha."""
-    G = gram_matrix(d.kernel, d.X)
-    return float(d.alpha @ G @ d.alpha)
+    """|| f ||^2 in the hypothesis space, sum c_i^2 / mu_i = alpha^T K(X, X) alpha."""
+    return gamma_norm_sq(estimator_l2_coefficients(d), d.kernel.spectrum, 1.0)

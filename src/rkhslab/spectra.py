@@ -5,8 +5,7 @@ eigenvalues mu_i sandwiched between constant multiples of (i (log i)^zeta)^(-bet
 All quantities here depend on the eigenvalues alone: effective dimension,
 embedding norms M_alpha in closed form (the eigenfunctions evaluated at
 x = 0 for the 1-d bases, per-degree multiplicities on the sphere) and the
-numerical embedding index, predicted error-growth exponents, and the
-small-lambda envelope of the closed-form variance sum.
+numerical embedding index, and predicted error-growth exponents.
 """
 
 from __future__ import annotations
@@ -17,20 +16,16 @@ from dataclasses import asdict, dataclass
 import mpmath
 import numpy as np
 
-from .fitting import fit_loglog_slope
-
 __all__ = [
     "DivergentEmbedding",
     "Spectrum",
     "EmbeddingReport",
     "ExponentReport",
-    "EnvelopeCurve",
     "make_power_law_spectrum",
     "effective_dimension",
     "embedding_norm",
     "estimate_alpha_star",
     "theoretical_exponent",
-    "v2_envelope",
 ]
 
 # Shrink of the extrapolated dyadic block ratio below 1 required to declare a
@@ -231,14 +226,11 @@ class ExponentReport:
 
     exponent: float
     classification: str  # inconsistent | generalizes_poorly | no_divergence
-    log_exponent: float  # exponent of the (log n) correction in the sharp bound
 
     CLASS_TOL = 1e-12
 
 
-def theoretical_exponent(
-    gamma: float, beta: float, zeta: float, alpha_star: float
-) -> ExponentReport:
+def theoretical_exponent(gamma: float, beta: float, alpha_star: float) -> ExponentReport:
     """Exponent (gamma - 3(alpha* - 1/beta)) / (3 alpha* - 2/beta) with its regime."""
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must lie in [0, 1) (got {gamma})")
@@ -253,51 +245,7 @@ def theoretical_exponent(
         classification = "generalizes_poorly"
     else:
         classification = "no_divergence"
-    log_exponent = -(gamma + 1.0 / beta) / denom * (1.0 + 2.0 * zeta)
-    return ExponentReport(exponent, classification, log_exponent)
-
-
-@dataclass(frozen=True)
-class EnvelopeCurve:
-    """S(lambda) = sum mu_i^(2-gamma) / (mu_i + lambda)^2 over a lambda grid."""
-
-    gamma: float
-    lambda_grid: np.ndarray
-    values: np.ndarray
-    fitted_slope: float
-    slope_stderr: float
-    target_slope: float  # gamma + 1/beta
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, "lambda,value", zip(self.lambda_grid, self.values))
-
-
-def v2_envelope(s: Spectrum, gamma: float, lambda_grid) -> EnvelopeCurve:
-    """Evaluate the closed-form variance sum on a grid and fit its decay rate.
-
-    The fitted slope of log S against log(1/lambda) is compared against the
-    predicted gamma + 1/beta.
-    """
-    lam = np.asarray(lambda_grid, dtype=float)
-    if lam.size == 0:
-        raise ValueError("lambda grid must be non-empty")
-    if np.any((lam <= 0) | (lam >= 0.5)):
-        raise ValueError("lambda grid must lie inside (0, 1/2)")
-    if not 0 <= gamma < 1:
-        raise ValueError(f"gamma must lie in [0, 1) (got {gamma})")
-    values = np.array([np.sum(_variance_terms(s.mu, gamma, l)) for l in lam])
-    if len(lam) >= 3:
-        slope, stderr = fit_loglog_slope(1.0 / lam, values)
-    else:
-        slope, stderr = float("nan"), float("nan")
-    return EnvelopeCurve(
-        gamma=gamma,
-        lambda_grid=lam,
-        values=values,
-        fitted_slope=slope,
-        slope_stderr=stderr,
-        target_slope=gamma + 1.0 / s.beta,
-    )
+    return ExponentReport(exponent, classification)
 
 
 def _variance_terms(mu: np.ndarray, gamma: float, lam: float) -> np.ndarray:

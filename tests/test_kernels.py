@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
@@ -20,6 +21,7 @@ from rkhslab import (
     ntk_eval,
     project_dot_product_spectrum,
 )
+from rkhslab.kernels import _gegenbauer_table
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,47 @@ class TestGegenbauer:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             gegenbauer_p(3, 2, 1.5)
+
+    @pytest.mark.parametrize("k, d", [(3, 0), (3, -2), (-1, 2)])
+    def test_rejects_bad_dimension_or_degree(self, k, d):
+        with pytest.raises(ValueError):
+            gegenbauer_p(k, d, 0.3)
+
+    def test_projection_rejects_negative_degree(self):
+        with pytest.raises(ValueError):
+            project_dot_product_spectrum(ntk_eval, 2, -1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+    def test_matches_50_digit_reference(self, d):
+        # d = 1: Chebyshev polynomials cos(k arccos t); d >= 2: the unnormalized
+        # recurrence k C_k = 2 (k - 1 + nu) t C_{k-1} - (k - 2 + 2 nu) C_{k-2},
+        # divided by C_k(1) = (2 nu)_k / k!
+        k_max = 200
+        grid = np.linspace(-1.0, 1.0, 41)
+        inner = np.random.default_rng(5).uniform(-0.99, 0.99, 20)
+        edge = 1.0 - np.geomspace(1e-8, 1e-2, 4)
+        t = np.concatenate((grid, inner, edge, -edge))
+        ref = np.empty((k_max + 1, len(t)))
+        with mpmath.workdps(50):
+            nu = mpmath.mpf(d - 1) / 2
+            for j, tj in enumerate(t):
+                x = mpmath.mpf(tj)
+                if d == 1:
+                    theta = mpmath.acos(x)
+                    ref[:, j] = [mpmath.cos(k * theta) for k in range(k_max + 1)]
+                    continue
+                c = [mpmath.mpf(1), 2 * nu * x]
+                for k in range(2, k_max + 1):
+                    c.append((2 * (k - 1 + nu) * x * c[-1] - (k - 2 + 2 * nu) * c[-2]) / k)
+                ref[:, j] = [ck * mpmath.factorial(k) / mpmath.rf(2 * nu, k) for k, ck in enumerate(c)]
+        err = np.abs(_gegenbauer_table(k_max, d, t) - ref)
+        # off the grid the d = 1 table, which rounds five times per step where
+        # the Chebyshev form 2 t P_{k-1} - P_{k-2} rounds twice, comes within
+        # 1.8e-14 over 400 points of [-0.99, 0.99]; within 1e-2 of +-1 the
+        # derivative of P_k grows like k^2 and any forward recurrence loses
+        # digits (3e-13 at t = 1 - 1e-8 for d = 1, for the Chebyshev form too)
+        tol = np.repeat([1e-14, 3e-14, 1e-12], [len(grid), len(inner), 2 * len(edge)])
+        assert np.all(err <= tol)
 
 
 class TestMultiplicity:

@@ -239,6 +239,16 @@ class TestV2Lambda:
         s = Spectrum(np.array([1.0]), beta=2.0, zeta=0.0)
         assert v2_lambda(s, 0.0, 1.0, 1) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "mu, gamma, expected",
+        [([1.0], 0.0, 0.64), ([1.0, 0.25], 0.5, 0.64 + 0.5)],
+        ids=["one_mode", "two_modes_gamma_half"],
+    )
+    def test_closed_form_at_quarter_lambda(self, mu, gamma, expected):
+        # 1 / 1.25^2 = 0.64, and 0.25^1.5 / 0.5^2 = 0.5 for the second mode
+        s = Spectrum(np.array(mu), beta=2.0, zeta=0.0)
+        assert v2_lambda(s, gamma, 0.25, 1) == pytest.approx(expected)
+
     def test_n_scaling(self):
         s = make_power_law_spectrum(2.0, 0.0, 100)
         assert v2_lambda(s, 0.5, 0.01, 4) == pytest.approx(
@@ -411,11 +421,8 @@ class TestConcentration:
         with pytest.raises(ValueError):
             concentration_trial(k, 8, 0.1, 1.0, 0.5, 10, 0)
 
-    def test_kappa_route_reported(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 128))
-        rep = concentration_trial(
-            k, n=32, lam=0.05, alpha=0.75, tau=3.0, trials=10, rng_seed=3, kappa=1.0
-        )
-        assert rep.kappa == 1.0
-        assert 0.0 <= rep.v_v1_satisfied <= 1.0
-        assert rep.v_v1_median >= 0.0
+    def test_rejects_no_trials(self):
+        # with no draw every fraction and median would be the NaN of an empty mean
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+        with pytest.raises(ValueError, match="trials"):
+            concentration_trial(k, n=16, lam=0.1, alpha=0.75, tau=3.0, trials=0, rng_seed=0)

@@ -12,6 +12,7 @@ from rkhslab import (
     estimator_l2_coefficients,
     gamma_error_sq,
     gram_matrix,
+    kernel_eval,
     make_power_law_spectrum,
     min_norm_fit,
     operator_rep_check,
@@ -182,13 +183,28 @@ class TestPredictAndCoefficients:
         assert estimator_l2_coefficients(d)[0] == pytest.approx(4.0 / 3.0)
 
     def test_coefficients_reproduce_predictions(self, cosine_kernel):
+        # predict sums the L2 coefficients; the dual expansion sum_j alpha_j K(x, x_j) is the reference
         rng = np.random.default_rng(4)
         X, Y = rng.random(10), rng.standard_normal(10)
         d = ridge_fit(cosine_kernel, SampleSet(X, Y), 1e-2)
-        c = estimator_l2_coefficients(d)
         x_eval = rng.random(100)
-        via_coeffs = cosine_kernel.basis_matrix(x_eval) @ c
-        assert np.max(np.abs(via_coeffs - predict(d, x_eval))) <= 1e-8
+        dual = kernel_eval(cosine_kernel, x_eval, X) @ d.alpha
+        assert np.max(np.abs(dual - predict(d, x_eval))) <= 1e-8
+
+    def test_rkhs_norm_of_an_ill_conditioned_interpolant(self, cosine_kernel):
+        # K(X, X) has condition number 7e11 here: alpha^T K alpha cancels
+        # inside K alpha (5e-6 relative error), while the sum of the
+        # nonnegative terms mu_i (E^T alpha)_i^2 comes within 2e-11
+        rng = np.random.default_rng(9)
+        X, Y = rng.random(256), rng.standard_normal(256)
+        d = min_norm_fit(cosine_kernel, SampleSet(X, Y))
+        pi = np.arccos(np.longdouble(-1.0))
+        E = np.sqrt(np.longdouble(2.0)) * np.cos(
+            pi * np.outer(X.astype(np.longdouble), np.arange(cosine_kernel.size))
+        )
+        E[:, 0] = 1.0
+        ref = np.sum(cosine_kernel.spectrum.mu * (E.T @ d.alpha.astype(np.longdouble)) ** 2)
+        assert abs(rkhs_norm_sq(d) - float(ref)) <= 1e-9 * float(ref)
 
 
 class TestOperatorRepCheck:

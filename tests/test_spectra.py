@@ -13,7 +13,6 @@ from rkhslab import (
     estimate_alpha_star,
     make_power_law_spectrum,
     theoretical_exponent,
-    v2_envelope,
 )
 from rkhslab.kernels import DotProductSpectrum
 from rkhslab.spectra import _series_converges, _tail_mass
@@ -215,52 +214,24 @@ class TestAlphaStar:
 
 class TestTheoreticalExponent:
     def test_boundary_case(self):
-        rep = theoretical_exponent(0.0, 2.0, 0.0, 0.5)
+        rep = theoretical_exponent(0.0, 2.0, 0.5)
         assert rep.exponent == pytest.approx(0.0)
         assert rep.classification == "generalizes_poorly"
 
     def test_inconsistent_case(self):
-        rep = theoretical_exponent(0.5, 2.0, 0.0, 0.5)
+        rep = theoretical_exponent(0.5, 2.0, 0.5)
         assert rep.exponent == pytest.approx(1.0)
         assert rep.classification == "inconsistent"
 
     def test_vanishing_numerator(self):
         beta, alpha_star = 2.5, 0.6
         gamma = 3.0 * (alpha_star - 1.0 / beta)
-        rep = theoretical_exponent(gamma, beta, 0.0, alpha_star)
+        rep = theoretical_exponent(gamma, beta, alpha_star)
         assert rep.exponent == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
-            theoretical_exponent(1.0, 2.0, 0.0, 0.5)
-
-
-class TestV2Envelope:
-    def test_one_term(self):
-        s = Spectrum(np.array([1.0]), beta=2.0, zeta=0.0)
-        curve = v2_envelope(s, 0.0, [0.25])
-        assert curve.values[0] == pytest.approx(0.64)
-
-    def test_two_term_gamma_half(self):
-        s = Spectrum(np.array([1.0, 0.25]), beta=2.0, zeta=0.0)
-        curve = v2_envelope(s, 0.5, [0.25])
-        assert curve.values[0] == pytest.approx(0.64 + 0.5)
-
-    def test_rejects_out_of_range_grid(self):
-        s = Spectrum(np.array([1.0]), beta=2.0, zeta=0.0)
-        with pytest.raises(ValueError):
-            v2_envelope(s, 0.0, [0.6])
-        with pytest.raises(ValueError):
-            v2_envelope(s, 0.0, [])
-
-    def test_csv_export(self, tmp_path):
-        s = make_power_law_spectrum(2.0, 0.0, 100)
-        curve = v2_envelope(s, 0.0, np.geomspace(1e-3, 0.1, 5))
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda,value"
-        assert len(lines) == 6
+            theoretical_exponent(1.0, 2.0, 0.5)
 
 
 class TestAppendixBounds:
