@@ -3,9 +3,10 @@
 Two experiments are provided.  The variance experiment evaluates V (both
 routes), V1, V2 and the predicted small-lambda envelope over replicate draws
 of X for each sample size.  The inconsistency experiment fits minimum-norm
-interpolants to noisy data over a grid of sample sizes, measures the
-gamma-norm error exactly via coefficients, and compares the fitted growth
-exponent of the mean error with the predicted one.
+interpolants to noisy samples of the target f* = b1 e_1 (zero by default)
+over a grid of sample sizes, measures the gamma-norm error exactly via
+coefficients, and compares the fitted growth exponent of the mean error with
+the predicted one.
 
 Every random stream is a pure function of (seed, n, replicate), so a fixed
 config reproduces every CSV and ``plot.py`` byte for byte, and
@@ -73,14 +74,12 @@ class ExperimentConfig:
     gamma: float
     sigma: float = 1.0
     zeta: float = 0.0
-    basis: str = "cosine_unit_interval"
     truncation: int = 4096
     n_grid: tuple[int, ...] = (64, 128, 256, 512, 1024)
     replicates: int = 50
     lambda_grid: tuple[float, ...] = ()
     seed: int = 0
-    f_star: str = "zero"  # "zero" or "single_mode"
-    f_star_b1: float = 0.0
+    f_star_b1: float = 0.0  # target f* = f_star_b1 e_1; 0 is the zero target
     output_dir: str = "."
 
     def __post_init__(self):
@@ -90,9 +89,8 @@ class ExperimentConfig:
         for name in ("truncation", "replicates", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
-        for name in ("basis", "f_star", "output_dir"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigError(f"{name} must be a string")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         if not all(_is_int(n) and n >= 1 for n in self.n_grid):
             raise ConfigError("sample sizes must be positive integers")
         if not all(_is_number(l) and l > 0 for l in self.lambda_grid):
@@ -111,8 +109,6 @@ class ExperimentConfig:
             raise ConfigError("replicates must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.f_star not in ("zero", "single_mode"):
-            raise ConfigError("f_star must be 'zero' or 'single_mode'")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -140,14 +136,12 @@ class ExperimentConfig:
     def build_kernel(self) -> SpectralKernel:
         try:
             spec = make_power_law_spectrum(self.beta, self.zeta, self.truncation)
-            return SpectralKernel(spectrum=spec, basis=self.basis)
+            return SpectralKernel(spectrum=spec)
         except (ValueError, ArithmeticError) as err:
             raise ConfigError(f"cannot build the kernel: {err}") from err
 
     def f_star_coeffs(self) -> np.ndarray:
-        """L2 coefficients of the target: f* = b1 e_1, and e_1 = 1 in both bases."""
-        if self.f_star == "zero":
-            return np.zeros(1)
+        """L2 coefficients of the target f* = b1 e_1, where e_1 = 1."""
         return np.array([self.f_star_b1])
 
 

@@ -3,14 +3,14 @@
 Two families are provided:
 
 * :class:`SpectralKernel` -- a 1-d kernel K(x, y) = sum_i mu_i e_i(x) e_i(y)
-  with an explicit orthonormal basis (cosines on [0, 1] under Lebesgue
-  measure, or Fourier modes on the unit circle).  The cosine basis is
-  uniformly bounded by sqrt(2), which pins the embedding index at 1/beta.
-  The basis matrix is one batched matrix product with inner dimension 2:
-  angle addition turns each block of harmonics into the row
-  (cos a theta, sin a theta) times a small per-point sin/cos table, so
-  sines and cosines are taken only on those tables.  A Gram matrix is one
-  symmetric product P P^T of the basis matrix scaled by sqrt(mu).
+  in the cosine basis e_1 = 1, e_{k+1} = sqrt(2) cos(k pi x), orthonormal on
+  [0, 1] under Lebesgue measure.  It is uniformly bounded by sqrt(2), which
+  pins the embedding index at 1/beta.  The basis matrix is one batched
+  matrix product with inner dimension 2: angle addition turns each block of
+  harmonics into the row (cos a theta, sin a theta) times a small per-point
+  sin/cos table, so sines and cosines are taken only on those tables.  A
+  Gram matrix is one symmetric product P P^T of the basis matrix scaled by
+  sqrt(mu).
 * :class:`DotProductSpectrum` -- a kernel on the sphere S^d depending only on
   t = <x, x'>, diagonalized per degree with multiplicities N(d, k) and
   Gegenbauer polynomials normalized to P_k(1) = 1.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +66,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralKernel:
-    """Kernel defined by a spectrum and an explicit L2-orthonormal basis."""
+    """Kernel defined by a spectrum and the cosine basis of L2[0, 1]."""
 
     spectrum: Spectrum
-    basis: str = "cosine_unit_interval"  # or "circle_fourier"
-
-    def __post_init__(self):
-        if self.basis not in ("cosine_unit_interval", "circle_fourier"):
-            raise ValueError(f"unknown basis {self.basis!r}")
 
     @property
     def size(self) -> int:
@@ -92,60 +86,47 @@ class SpectralKernel:
         x = self._check_domain(x)
         E = np.empty((len(x), self.size))
         E[:, 0] = 1.0
-        if self.basis == "cosine_unit_interval":
-            _harmonics(np.pi * x, E[:, 1:])
-        else:
-            # circle: pairs sqrt2 cos(2 pi j x), sqrt2 sin(2 pi j x)
-            _harmonics(2.0 * np.pi * x, E[:, 1:], pairs=True)
+        _harmonics(np.pi * x, E[:, 1:])
         return E
 
 
-def _harmonics(theta: np.ndarray, out: np.ndarray, pairs: bool = False):
+def _harmonics(theta: np.ndarray, out: np.ndarray):
     """Write sqrt2 cos(k theta), k = 1, 2, ..., into the columns of ``out``.
 
-    With ``pairs`` the columns interleave sqrt2 cos(k theta), sqrt2 sin(k theta).
-    Angle addition, cos((a + j) t) = cos(a t) cos(j t) - sin(a t) sin(j t) and
-    sin((a + j) t) = sin(a t) cos(j t) + cos(a t) sin(j t), makes a block of
-    B harmonics k = a + j, j = 1..B, at one point the row (cos a t, sin a t)
-    times a 2 x B table (2 x 2B with pairs) of sqrt2-scaled cos(j t), sin(j t).
+    Angle addition, cos((a + j) t) = cos(a t) cos(j t) - sin(a t) sin(j t),
+    makes a block of B harmonics k = a + j, j = 1..B, at one point the row
+    (cos a t, sin a t) times a 2 x B table of sqrt2 cos(j t), -sqrt2 sin(j t).
     Over all points and block starts a = 0, B, 2B, ... that is one batched
     ``matmul`` with inner dimension 2, written through a view of ``out``;
     a second small one fills a ragged last block.  Sines and cosines are
     taken only on the n x B table and the n x ceil(K / B) block starts.
     The rounding of theta dominates the error, as for direct evaluation.
     """
-    n, cols = out.shape
-    w = 2 if pairs else 1
-    K = -(-cols // w)  # harmonics, the last one cosine-only if cols is odd
+    n, K = out.shape
     if K == 0:
         return
     B = min(HARMONIC_BLOCK, K)
-    # table[i, :, j - 1] = sqrt2 (cos j t_i, -sin j t_i), each column followed
-    # by sqrt2 (sin j t_i, cos j t_i) with pairs
-    table = np.empty((n, 2, B, w))
-    c, s = table[:, 0, :, 0], table[:, 1, :, 0]
+    # table[i, :, j - 1] = sqrt2 (cos j t_i, -sin j t_i)
+    table = np.empty((n, 2, B))
+    c, s = table[:, 0], table[:, 1]
     np.outer(theta, np.arange(1, B + 1), out=c)
     np.sin(c, out=s)
     np.cos(c, out=c)
     c *= math.sqrt(2.0)
     s *= -math.sqrt(2.0)
-    if pairs:
-        np.negative(s, out=table[:, 0, :, 1])
-        table[:, 1, :, 1] = c
-    table = table.reshape(n, 2, B * w)
     # starts[i, b] = (cos a t_i, sin a t_i) for a = b B
     starts = np.empty((n, -(-K // B), 2))
     a = starts[:, :, 0]
     np.outer(theta, np.arange(0, K, B), out=a)
     np.sin(a, out=starts[:, :, 1])
     np.cos(a, out=a)
-    full, tail = divmod(cols, B * w)
+    full, tail = divmod(K, B)
     if full:
         # splitting the unit-stride last axis keeps this a view of ``out``
-        blocks = out[:, : full * B * w].reshape(n, full, B * w)
+        blocks = out[:, : full * B].reshape(n, full, B)
         np.matmul(starts[:, :full], table, out=blocks)
     if tail:
-        last = out[:, full * B * w :].reshape(n, 1, tail)
+        last = out[:, full * B :].reshape(n, 1, tail)
         np.matmul(starts[:, full:], table[:, :, :tail], out=last)
 
 
@@ -310,7 +291,6 @@ def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:
         raise ValueError(
             f"profile is not positive definite: min coefficient {a.min():.3e}"
         )
-    if np.any(a < 0):
-        warnings.warn("small negative coefficients clamped to zero", stacklevel=2)
-        a = np.maximum(a, 0.0)
-    return DotProductSpectrum(d=d, a=a)
+    # a coefficient that is zero in exact arithmetic comes out as rounding
+    # noise of either sign; the check above bounds it
+    return DotProductSpectrum(d=d, a=np.maximum(a, 0.0))

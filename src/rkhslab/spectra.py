@@ -4,7 +4,7 @@ A :class:`Spectrum` holds a truncated non-increasing sequence of positive
 eigenvalues mu_i sandwiched between constant multiples of (i (log i)^zeta)^(-beta).
 All quantities here depend on the eigenvalues alone: effective dimension,
 embedding norms M_alpha in closed form (the eigenfunctions evaluated at
-x = 0 for the 1-d bases, per-degree multiplicities on the sphere) and the
+x = 0 for the 1-d cosine basis, per-degree multiplicities on the sphere) and the
 numerical embedding index, and predicted error-growth exponents.
 """
 
@@ -154,7 +154,7 @@ class EmbeddingReport:
 
     alpha: float
     m_alpha: float
-    method: str  # closed_form_cosine | closed_form_circle | closed_form_sphere
+    method: str  # closed_form_cosine | closed_form_sphere
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -164,17 +164,14 @@ def _embedding_terms(kernel_spec, alpha: float):
     """Per-index terms of the embedding series and the method label.
 
     * a dot-product spectrum on the sphere gives sum_k a_k^alpha N(d, k);
-    * a spectral kernel attains the sup at x = 0 for both of its bases: every
-      cosine mode squares to its maximum there, and each circle sine mode,
-      which vanishes at 0, pairs with a cosine mode of larger eigenvalue.
+    * a spectral kernel attains the sup at x = 0, where every cosine mode
+      squares to its maximum.
     """
     if hasattr(kernel_spec, "a") and hasattr(kernel_spec, "d"):
         terms = kernel_spec.a**alpha * kernel_spec.multiplicities()
         return terms, "closed_form_sphere"
-    method = "closed_form_" + kernel_spec.basis.split("_")[0]  # cosine | circle
     e0_sq = kernel_spec.basis_matrix(0.0)[0] ** 2
-    # the sine modes add nothing at 0; leaving them out indexes the tail test by frequency
-    return (kernel_spec.spectrum.mu**alpha * e0_sq)[e0_sq > 0], method
+    return kernel_spec.spectrum.mu**alpha * e0_sq, "closed_form_cosine"
 
 
 def estimate_alpha_star(kernel_spec) -> float:

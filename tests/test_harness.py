@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from rkhslab import (
     ConfigError,
     ExperimentConfig,
+    SampleSet,
     fit_loglog_slope,
+    gamma_error_sq,
     make_responses,
+    min_norm_fit,
     replicate_rng,
     run_inconsistency_experiment,
     run_variance_experiment,
@@ -86,7 +89,7 @@ class TestExperimentConfig:
             dict(beta=2.0, gamma=0.5, n_grid=(64, 64)),
             dict(beta=2.0, gamma=0.5, n_grid=(128, 64)),
             dict(beta=2.0, gamma=0.5, replicates=0),
-            dict(beta=2.0, gamma=0.5, f_star="cubic"),
+            dict(beta=2.0, gamma=0.5, f_star_b1=float("inf")),
             dict(beta=2.0, gamma=0.5, lambda_grid=(0.0,)),
         ],
     )
@@ -244,14 +247,12 @@ class TestInconsistencyExperiment:
     def test_single_mode_target(self, tmp_path):
         import dataclasses
 
-        cfg = dataclasses.replace(
-            small_inconsistency_config(tmp_path),
-            f_star="single_mode",
-            f_star_b1=2.0,
-            n_grid=(8, 16, 32),
-        )
-        result = run_inconsistency_experiment(cfg)
+        zero = small_inconsistency_config(tmp_path / "zero")
+        mode = dataclasses.replace(zero, output_dir=str(tmp_path / "mode"), f_star_b1=1.7)
+        zero_errors = run_inconsistency_experiment(zero).mean_errors
+        result = run_inconsistency_experiment(mode)
         assert all(np.isfinite(result.mean_errors))
+        assert result.mean_errors != zero_errors
 
     def test_single_mode_builds_two_basis_matrices_per_fit(self, tmp_path, monkeypatch):
         import dataclasses
@@ -266,26 +267,25 @@ class TestInconsistencyExperiment:
             return original(self, x)
 
         monkeypatch.setattr(SpectralKernel, "basis_matrix", counting)
-        cfg = dataclasses.replace(
-            small_inconsistency_config(tmp_path), f_star="single_mode", f_star_b1=1.7
-        )
+        cfg = dataclasses.replace(small_inconsistency_config(tmp_path), f_star_b1=1.7)
         result = run_inconsistency_experiment(cfg)
         assert result.success_counts == [4, 4, 4]
         # one Gram matrix for the fit, one basis matrix for its L2 coefficients
         assert sorted(calls) == sorted(2 * [n for n in cfg.n_grid for _ in range(4)])
 
     def test_zero_amplitude_mode_matches_zero_target(self, tmp_path):
-        import dataclasses
-
-        zero = small_inconsistency_config(tmp_path / "zero")
-        mode = dataclasses.replace(
-            zero, output_dir=str(tmp_path / "mode"), f_star="single_mode", f_star_b1=0.0
-        )
-        run_inconsistency_experiment(zero)
-        run_inconsistency_experiment(mode)
-        assert (tmp_path / "zero" / "errors.csv").read_bytes() == (
-            tmp_path / "mode" / "errors.csv"
-        ).read_bytes()
+        # the default f_star_b1 = 0 is f* = 0: each error is the fit's own gamma-norm
+        cfg = small_inconsistency_config(tmp_path)
+        assert cfg.f_star_b1 == 0.0
+        run_inconsistency_experiment(cfg)
+        rows = np.loadtxt(tmp_path / "errors.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 12
+        for n, r, err in rows[::4].tolist():
+            rng = replicate_rng(cfg.seed, int(n), int(r))
+            X = sample_inputs("unit_interval", int(n), rng)
+            Y = make_responses(X, None, cfg.sigma, rng)
+            fit = min_norm_fit(cfg.build_kernel(), SampleSet(X, Y))
+            assert err == pytest.approx(gamma_error_sq(fit, np.zeros(0), cfg.gamma), rel=1e-12)
 
 
 IMPORT_CHECK = """
@@ -410,6 +410,14 @@ class TestCli:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert [c["failures"] for c in summary["per_n"].values()] == [2, 2, 2]
 
+    @pytest.mark.parametrize("extra", [{"basis": "cosine_unit_interval"}, {"f_star": "zero"}])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, extra):
+        path = self.write_config(tmp_path, extra)
+        code = cli_main(["inconsistency", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "command, extra",
         [
@@ -444,13 +452,11 @@ FIELD_VALUES = {
     "gamma": st.floats(-0.5, 1.5) | JSON_VALUES,
     "sigma": st.floats(0.0, 2.0) | JSON_VALUES,
     "zeta": st.floats(-2.0, 2.0) | JSON_VALUES,
-    "basis": st.sampled_from(["cosine_unit_interval", "circle_fourier"]) | JSON_VALUES,
     "truncation": st.integers(-2, 48) | NON_INTEGERS,
     "n_grid": st.lists(SMALL_SIZES, max_size=4) | NON_INTEGERS,
     "replicates": st.integers(-1, 3) | NON_INTEGERS,
     "lambda_grid": st.lists(st.floats(-0.1, 0.6) | JSON_VALUES, max_size=3) | JSON_VALUES,
     "seed": JSON_VALUES,
-    "f_star": st.sampled_from(["zero", "single_mode"]) | JSON_VALUES,
     "f_star_b1": st.floats(-3.0, 3.0) | JSON_VALUES,
     "output_dir": JSON_VALUES,
 }

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -70,24 +71,20 @@ class TestKernelEval:
 
 
 class TestBasisMatrix:
-    # circle: M = 129 is one full block of 64 cos/sin pairs, and M = 130 adds
-    # a cosine-only tail column
-    @pytest.mark.parametrize("M", [2, 7, 63, 64, 65, 129, 130, 4096])
-    @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
-    def test_matches_long_double_reference(self, basis, M):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
+    # M - 1 harmonics in blocks of 64: M = 65 and 129 fill whole blocks, and
+    # M = 130 and 4096 end in a ragged one
+    @pytest.mark.parametrize(
+        "M", [2, 7, 63, 64, 65, 129, 130, 4096], ids="cosine_unit_interval-{}".format
+    )
+    def test_matches_long_double_reference(self, M):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
         x = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(M).random(40)])
         E = k.basis_matrix(x)
         assert E.shape == (len(x), M)
         assert np.all(E[:, 0] == 1.0)
-        idx = np.arange(1, M)
         pi = np.arccos(np.longdouble(-1.0))
-        if basis == "cosine_unit_interval":
-            ref = np.cos(pi * np.outer(x.astype(np.longdouble), idx))
-        else:
-            phase = 2 * pi * np.outer(x.astype(np.longdouble), (idx + 1) // 2)
-            ref = np.where(idx % 2 == 1, np.cos(phase), np.sin(phase))
-        ref *= np.sqrt(np.longdouble(2.0))
+        phase = pi * np.outer(x.astype(np.longdouble), np.arange(1, M))
+        ref = np.sqrt(np.longdouble(2.0)) * np.cos(phase)
         assert float(np.max(np.abs(E[:, 1:] - ref))) <= 1e-11
 
     def test_peak_memory_is_the_output(self):
@@ -118,9 +115,8 @@ class TestGramMatrix:
 
 
 class TestBasisOrthonormality:
-    @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
-    def test_gram_of_basis_is_identity(self, basis):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 50), basis=basis)
+    def test_gram_of_basis_is_identity(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 50))
         # 2048-point Gauss-Legendre on [0, 1]
         nodes, weights = np.polynomial.legendre.leggauss(2048)
         x = 0.5 * (nodes + 1.0)
@@ -291,6 +287,29 @@ class TestProjection:
     def test_ntk_is_positive_definite_profile(self, d):
         s = project_dot_product_spectrum(ntk_eval, d, 40)
         assert np.all(s.a >= 0.0)
+
+    @pytest.mark.parametrize(
+        "g, d, k_max",
+        [
+            (np.ones_like, 2, 10),
+            (np.asarray, 2, 10),
+            (ntk_eval, 1, 40),
+            (ntk_eval, 2, 40),
+            (ntk_eval, 3, 40),
+        ],
+        ids=["constant", "linear", "ntk-d1", "ntk-d2", "ntk-d3"],
+    )
+    def test_rounding_noise_is_clamped_without_warning(self, g, d, k_max):
+        # coefficients that are zero in exact arithmetic come out of the
+        # quadrature as noise of either sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = project_dot_product_spectrum(g, d, k_max)
+        assert np.all(s.a >= 0.0)
+
+    def test_indefinite_profile_raises(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            project_dot_product_spectrum(np.negative, 2, 10)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(5)

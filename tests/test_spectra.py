@@ -142,18 +142,19 @@ class TestEmbeddingNorm:
         with pytest.raises(DivergentEmbedding):
             embedding_norm(k, 0.4)
 
-    @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
-    @pytest.mark.parametrize("M", [8, 9, 10, 11, 13, 17, 21, 25, 29])
-    def test_convergent_short_series(self, basis, M):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
+    @pytest.mark.parametrize(
+        "M", [8, 9, 10, 11, 13, 17, 21, 25, 29], ids="{}-cosine_unit_interval".format
+    )
+    def test_convergent_short_series(self, M):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
         assert np.isfinite(embedding_norm(k, 0.55).m_alpha)
 
-    @pytest.mark.parametrize("basis", ["cosine_unit_interval", "circle_fourier"])
-    @pytest.mark.parametrize("M", [64, 513, 1000, 4096, 4097])
-    def test_divergent_at_the_index_itself(self, basis, M):
-        # the terms are exactly 1/t (circle) or 2/(t+1) (cosine): a harmonic
-        # tail under either index offset
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
+    @pytest.mark.parametrize(
+        "M", [64, 513, 1000, 4096, 4097], ids="{}-cosine_unit_interval".format
+    )
+    def test_divergent_at_the_index_itself(self, M):
+        # the terms are exactly 2/(t+1): a harmonic tail under an index offset
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
         with pytest.raises(DivergentEmbedding):
             embedding_norm(k, 0.5)
 
@@ -183,17 +184,15 @@ class TestEmbeddingNorm:
         assert payload["m_alpha"] > 0
 
     @pytest.mark.parametrize(
-        "basis, method",
-        [("cosine_unit_interval", "closed_form_cosine"), ("circle_fourier", "closed_form_circle")],
+        "M", [7, 8, 64], ids="{}-cosine_unit_interval-closed_form_cosine".format
     )
-    @pytest.mark.parametrize("M", [7, 8, 64])
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
-    def test_closed_form_is_the_sup_over_a_fine_grid(self, basis, method, M, alpha):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M), basis=basis)
+    def test_closed_form_is_the_sup_over_a_fine_grid(self, M, alpha):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
         rep = embedding_norm(k, alpha)
         sums = k.basis_matrix(np.linspace(0.0, 1.0, 20001)) ** 2 @ k.spectrum.mu**alpha
         assert rep.m_alpha**2 == pytest.approx(np.max(sums), rel=1e-12)
-        assert rep.method == method
+        assert rep.method == "closed_form_cosine"
 
 
 class TestAlphaStar:
@@ -205,10 +204,6 @@ class TestAlphaStar:
 
     def test_close_to_inverse_beta_for_bounded_basis(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 50_000))
-        assert estimate_alpha_star(k) == pytest.approx(0.5, abs=0.02)
-
-    def test_circle_close_to_inverse_beta(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 50_000), basis="circle_fourier")
         assert estimate_alpha_star(k) == pytest.approx(0.5, abs=0.02)
 
 
