@@ -38,6 +38,3 @@ assert np.all(np.diff(curve.v) <= 1e-10)
 env = curve.envelope(beta, 0.0, n)
 ratio = curve.v / env
 print(f"\nV / envelope stays within [{ratio.min():.3f}, {ratio.max():.3f}]")
-
-curve.to_csv("variance_curve.csv", beta=beta, zeta=0.0, n=n)
-print("wrote variance_curve.csv")

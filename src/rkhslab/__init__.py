@@ -20,7 +20,6 @@ from .kernels import (
     QuadratureError,
     SpectralKernel,
     dot_product_kernel_eval,
-    fractional_power_kernel_eval,
     gegenbauer_p,
     gram_matrix,
     kernel_eval,

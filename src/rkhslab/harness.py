@@ -1,12 +1,12 @@
 """Experiment runner: sampling, noise, replicates, exponent fits, reports.
 
-Two experiments are provided.  The variance experiment evaluates V (both
-routes), V1, V2 and the predicted small-lambda envelope over replicate draws
-of X for each sample size.  The inconsistency experiment fits minimum-norm
-interpolants to noisy samples of the target f* = b1 e_1 (zero by default)
-over a grid of sample sizes, measures the gamma-norm error exactly via
-coefficients, and compares the fitted growth exponent of the mean error with
-the predicted one.
+Two experiments are provided, both on inputs drawn uniformly on [0, 1].
+The variance experiment evaluates V (both routes), V1, V2 and the predicted
+small-lambda envelope over replicate draws of X for each sample size.  The
+inconsistency experiment fits minimum-norm interpolants to noisy samples of
+the target f* = b1 e_1 (zero by default) over a grid of sample sizes,
+measures the gamma-norm error exactly via coefficients, and compares the
+fitted growth exponent of the mean error with the predicted one.
 
 Every random stream is a pure function of (seed, n, replicate), so a fixed
 config reproduces every CSV and ``plot.py`` byte for byte, and
@@ -174,25 +174,18 @@ def replicate_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
 
 
 def sample_inputs(domain, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points uniformly on [0, 1] or on the sphere S^d.
-
-    ``domain`` is either the string "unit_interval" or the pair ("sphere", d).
-    """
+    """Draw n points uniformly on [0, 1]; ``domain`` must be "unit_interval"."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if domain == "unit_interval":
-        return rng.random(n)
-    if isinstance(domain, tuple) and domain[0] == "sphere":
-        d = int(domain[1])
-        g = rng.standard_normal((n, d + 1))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-    raise ValueError(f"unknown domain {domain!r}")
+    if domain != "unit_interval":
+        raise ValueError(f"unknown domain {domain!r}")
+    return rng.random(n)
 
 
 def make_responses(X, f_star_values, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """y_i = f*(x_i) + sigma xi_i with standard Gaussian noise."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     f = np.zeros(len(X)) if f_star_values is None else np.asarray(f_star_values, dtype=float)
     return f + sigma * rng.standard_normal(len(X))
 

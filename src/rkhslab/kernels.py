@@ -8,9 +8,10 @@ Two families are provided:
   pins the embedding index at 1/beta.  The basis matrix is one batched
   matrix product with inner dimension 2: angle addition turns each block of
   harmonics into the row (cos a theta, sin a theta) times a small per-point
-  sin/cos table, so sines and cosines are taken only on those tables.  A
-  Gram matrix is one symmetric product P P^T of the basis matrix scaled by
-  sqrt(mu).
+  sin/cos table, so sines and cosines are taken only on those tables.  Scaled
+  by sqrt(mu^p), the basis matrix holds the features of the kernel with
+  eigenvalues mu^p: a kernel matrix is one product of two such matrices, and
+  a Gram matrix one symmetric product P P^T.
 * :class:`DotProductSpectrum` -- a kernel on the sphere S^d depending only on
   t = <x, x'>, diagonalized per degree with multiplicities N(d, k) and
   Gegenbauer polynomials normalized to P_k(1) = 1.
@@ -37,7 +38,6 @@ __all__ = [
     "DotProductSpectrum",
     "multiplicity",
     "kernel_eval",
-    "fractional_power_kernel_eval",
     "gram_matrix",
     "gegenbauer_p",
     "dot_product_kernel_eval",
@@ -130,26 +130,25 @@ def _harmonics(theta: np.ndarray, out: np.ndarray):
         np.matmul(starts[:, full:], table[:, :, :tail], out=last)
 
 
-def kernel_eval(k: SpectralKernel, x, y) -> float | np.ndarray:
-    """Truncated Mercer sum sum_i mu_i e_i(x) e_i(y); symmetric in (x, y)."""
-    return fractional_power_kernel_eval(k, 1.0, x, y)
+def _features(k: SpectralKernel, x, power: float) -> np.ndarray:
+    """Rows sqrt(mu^power) e(x): the feature maps of the kernel with eigenvalues mu^power."""
+    if power < 0:
+        raise ValueError(f"power must be nonnegative (got {power})")
+    P = k.basis_matrix(x)
+    P *= np.sqrt(k.spectrum.mu**power)
+    return P
 
 
-def fractional_power_kernel_eval(k: SpectralKernel, s: float, x, y) -> float | np.ndarray:
-    """Mercer sum with eigenvalues raised to the power s >= 0."""
-    if s < 0:
-        raise ValueError(f"power must be nonnegative (got {s})")
+def kernel_eval(k: SpectralKernel, x, y, power: float = 1.0) -> float | np.ndarray:
+    """Truncated Mercer sum sum_i mu_i^power e_i(x) e_i(y), power >= 0; symmetric in (x, y)."""
     scalar = np.isscalar(x) and np.isscalar(y)
-    Ex = k.basis_matrix(x)
-    Ey = k.basis_matrix(y)
-    vals = (Ex * k.spectrum.mu**s) @ Ey.T
+    vals = _features(k, x, power) @ _features(k, y, power).T
     return float(vals[0, 0]) if scalar else vals
 
 
 def gram_matrix(k: SpectralKernel, X, power: float = 1.0) -> np.ndarray:
     """Gram matrix of the (fractional-power) kernel over a point set."""
-    P = k.basis_matrix(X)
-    P *= np.sqrt(k.spectrum.mu**power)
+    P = _features(k, X, power)
     # one buffer on both sides makes numpy call BLAS syrk: half the flops of
     # a general product, and an exactly symmetric result
     return P @ P.T

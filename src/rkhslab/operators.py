@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import SpectralKernel, gram_matrix
-from .spectra import Spectrum, _variance_terms, _write_csv, effective_dimension, embedding_norm
+from .kernels import SpectralKernel, _features, gram_matrix
+from .spectra import Spectrum, _variance_terms, effective_dimension, embedding_norm
 
 __all__ = [
     "NotInPowerSpace",
@@ -107,9 +107,7 @@ def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
     X = np.atleast_1d(np.asarray(X, dtype=float))
     if len(X) < 1:
         raise ValueError("need at least one sample point")
-    psi = kernel.basis_matrix(X)
-    psi *= np.sqrt(kernel.spectrum.mu)
-    return TruncatedOperatorModel(kernel=kernel, X=X, psi=psi)
+    return TruncatedOperatorModel(kernel=kernel, X=X, psi=_features(kernel, X, 1.0))
 
 
 def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
@@ -163,6 +161,8 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     kernel with exponent 2 - gamma, from one eigendecomposition of G/n + lambda I.
     Algebraically identical to the coefficient route in the truncated model.
     """
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative (got {lam})")
     X = np.atleast_1d(np.asarray(X, dtype=float))
     n = len(X)
     A = gram_matrix(kernel, X)
@@ -223,10 +223,6 @@ class VarianceCurve:
     def envelope(self, beta: float, zeta: float, n: int) -> np.ndarray:
         """Shape of the predicted small-lambda lower bound (up to a constant)."""
         return _envelope_shape(self.lambda_grid, self.gamma, beta, zeta, n)
-
-    def to_csv(self, path, beta: float, zeta: float, n: int) -> None:
-        rows = zip(self.lambda_grid, self.v, self.v1, self.v2, self.envelope(beta, zeta, n))
-        _write_csv(path, "lambda,v,v1,v2,bound_v2_envelope", rows)
 
 
 def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid) -> VarianceCurve:

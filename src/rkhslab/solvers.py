@@ -36,8 +36,8 @@ __all__ = [
     "rkhs_norm_sq",
 ]
 
-# jitter ladder for lambda = 0 fits, as multiples of the largest eigenvalue
-JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
+# jitter of the one retry of a singular lambda = 0 fit, times the largest Gram eigenvalue
+RETRY_JITTER = 1e-12
 
 
 class SingularGram(np.linalg.LinAlgError):
@@ -119,23 +119,17 @@ def ridge_fit(
 
 
 def min_norm_fit(kernel: SpectralKernel, s: SampleSet) -> DualSolution:
-    """Minimum-norm interpolant with an escalating jitter ladder.
+    """Minimum-norm interpolant, with one jittered retry on a singular Gram matrix.
 
-    Jitter levels are multiples of the largest Gram eigenvalue; a solution
-    obtained with jitter > 0 is flagged through ``jitter_used``.
+    The retry never raises :class:`SingularGram`: with jitter > 0,
+    :func:`ridge_fit` falls back to its clipped eigendecomposition.  Its
+    solution is not an interpolant, and ``jitter_used`` flags it.
     """
-    sigma_max = None
-    last_err: Exception | None = None
-    for level in JITTER_LADDER:
-        if level > 0.0 and sigma_max is None:
-            G = gram_matrix(kernel, s.X)
-            sigma_max = float(np.linalg.eigvalsh(G)[-1])
-        jitter = level * (sigma_max or 0.0)
-        try:
-            return ridge_fit(kernel, s, 0.0, jitter=jitter)
-        except SingularGram as err:
-            last_err = err
-    raise last_err  # type: ignore[misc]
+    try:
+        return ridge_fit(kernel, s, 0.0)
+    except SingularGram:
+        sigma_max = float(np.linalg.eigvalsh(gram_matrix(kernel, s.X))[-1])
+        return ridge_fit(kernel, s, 0.0, jitter=RETRY_JITTER * sigma_max)
 
 
 def predict(d: DualSolution, x) -> float | np.ndarray:

@@ -44,19 +44,12 @@ class DivergentEmbedding(ArithmeticError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Truncated eigenvalue sequence mu_1 >= mu_2 >= ... > 0.
-
-    ``envelope`` records the constants (c1, c2) such that
-    c1 * (i (log i)^zeta)^(-beta) <= mu_i <= c2 * (...) for i >= 2, as realized
-    by the construction.  ``tail_mass`` estimates the discarded mass
-    sum_{i > M} mu_i.
-    """
+    """Truncated eigenvalues mu_1 >= mu_2 >= ... > 0; ``tail_mass`` estimates sum_{i > M} mu_i."""
 
     mu: np.ndarray
     beta: float
     zeta: float
     tail_mass: float = 0.0
-    envelope: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -93,14 +86,7 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
     i = np.arange(2, M + 1, dtype=float)
     raw = (i * np.log(i) ** zeta) ** (-beta)
     mu = np.minimum.accumulate(np.concatenate(([1.0], raw)))
-    ratios = mu[1:] / raw
-    return Spectrum(
-        mu=mu,
-        beta=beta,
-        zeta=zeta,
-        tail_mass=_tail_mass(beta, zeta, M),
-        envelope=(float(ratios.min()), float(ratios.max())),
-    )
+    return Spectrum(mu=mu, beta=beta, zeta=zeta, tail_mass=_tail_mass(beta, zeta, M))
 
 
 def _tail_mass(beta: float, zeta: float, M: int) -> float:

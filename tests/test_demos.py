@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion with warnings turned into errors."""
+"""Every script under demos/ runs to completion with warnings turned into errors,
+and leaves no file behind in its working directory."""
 
 import os
 import subprocess
@@ -17,7 +18,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # a temporary working directory takes the files a demo writes there
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(demo)],
@@ -28,3 +28,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.iterdir())

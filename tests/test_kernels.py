@@ -13,7 +13,6 @@ from rkhslab import (
     SpectralKernel,
     Spectrum,
     dot_product_kernel_eval,
-    fractional_power_kernel_eval,
     gegenbauer_p,
     gram_matrix,
     kernel_eval,
@@ -132,24 +131,27 @@ class TestBasisOrthonormality:
 
 
 class TestFractionalPower:
-    def test_power_one_matches_kernel(self, cosine_kernel):
-        rng = np.random.default_rng(11)
-        x, y = rng.random(100), rng.random(100)
-        a = fractional_power_kernel_eval(cosine_kernel, 1.0, x, y)
-        b = kernel_eval(cosine_kernel, x, y)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("power", [0.0, 1.0, 1.5])
+    def test_power_matches_gram_matrix(self, cosine_kernel, power):
+        X = np.random.default_rng(11).random(100)
+        K = kernel_eval(cosine_kernel, X, X, power=power)
+        G = gram_matrix(cosine_kernel, X, power=power)
+        assert np.max(np.abs(K - G)) <= 1e-13 * np.max(np.abs(G))
 
     def test_power_zero_counts_modes(self):
         k = SpectralKernel(Spectrum(np.array([1.0, 0.25]), beta=2.0, zeta=0.0))
-        assert fractional_power_kernel_eval(k, 0.0, 0.0, 0.0) == pytest.approx(3.0)
+        assert kernel_eval(k, 0.0, 0.0, power=0.0) == pytest.approx(3.0)
 
     def test_power_two_constant_mode(self):
         k = SpectralKernel(Spectrum(np.array([1.0]), beta=2.0, zeta=0.0))
-        assert fractional_power_kernel_eval(k, 2.0, 0.2, 0.9) == pytest.approx(1.0)
+        assert kernel_eval(k, 0.2, 0.9, power=2.0) == pytest.approx(1.0)
 
     def test_rejects_negative_power(self, cosine_kernel):
-        with pytest.raises(ValueError):
-            fractional_power_kernel_eval(cosine_kernel, -0.5, 0.1, 0.2)
+        X = np.array([0.1, 0.2])
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            kernel_eval(cosine_kernel, X, X, power=-0.5)
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            gram_matrix(cosine_kernel, X, power=-0.5)
 
 
 class TestGegenbauer:

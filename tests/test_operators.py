@@ -206,6 +206,21 @@ class TestVGramRoute:
             v_lambda_gram_route(k, [0.3, 0.3], 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda k, X, lam: v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam),
+        lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam),
+    ],
+    ids=["coefficient", "gram"],
+)
+def test_both_routes_reject_negative_lambda(route):
+    k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+    X = np.random.default_rng(14).random(8)
+    with pytest.raises(ValueError, match=r"lambda must be nonnegative \(got -0\.001\)"):
+        route(k, X, -1e-3)
+
+
 class TestV1Lambda:
     def test_scalar_instance(self):
         m = build_operator_model(one_mode_kernel(), [0.5])
@@ -285,16 +300,6 @@ class TestVarianceCurve:
         m = build_operator_model(k, np.random.default_rng(8).random(16))
         curve = variance_curve(m, 0.0, np.geomspace(1e-4, 0.4, 12))
         assert np.all(np.diff(curve.v) <= 1e-10)
-
-    def test_csv_layout(self, tmp_path):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
-        m = build_operator_model(k, np.random.default_rng(9).random(8))
-        curve = variance_curve(m, 0.0, [1e-2, 1e-1])
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path, beta=2.0, zeta=0.0, n=8)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda,v,v1,v2,bound_v2_envelope"
-        assert len(lines) == 3
 
     def test_envelope_finite_for_lambda_at_least_one(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))

@@ -149,23 +149,32 @@ class TestMinNormFit:
         d = min_norm_fit(cosine_kernel, SampleSet(rng.random(8), rng.standard_normal(8)))
         assert d.interpolating
 
-    def test_ladder_escalates_on_failed_factorization(self, cosine_kernel, monkeypatch):
+    def test_singular_fit_retries_once(self, cosine_kernel, monkeypatch):
         import rkhslab.solvers as solvers
 
-        real = solvers.cho_factor
-        calls = {"count": 0}
+        def fail(A, **kw):
+            raise np.linalg.LinAlgError("forced failure")
 
-        def flaky(A, **kw):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise np.linalg.LinAlgError("forced failure")
-            return real(A, **kw)
+        jitters = []
 
-        monkeypatch.setattr(solvers, "cho_factor", flaky)
+        def spy(kernel, s, lam, jitter=0.0):
+            jitters.append(jitter)
+            return ridge_fit(kernel, s, lam, jitter=jitter)
+
+        monkeypatch.setattr(solvers, "cho_factor", fail)
+        monkeypatch.setattr(solvers, "ridge_fit", spy)
         s = SampleSet([0.2, 0.8], [1.0, -1.0])
         d = min_norm_fit(cosine_kernel, s)
-        assert d.jitter_used > 0.0
+        G = gram_matrix(cosine_kernel, s.X)
+        jitter = 1e-12 * np.linalg.eigvalsh(G)[-1]
+        assert jitters == [0.0, jitter]
+        assert d.jitter_used == jitter
         assert not d.interpolating
+        # the clipped eigendecomposition of G + jitter I, as ridge_fit writes it
+        G.flat[:: s.n + 1] += jitter
+        w, Q = eigh(G)
+        w = np.maximum(w, np.max(w) * np.finfo(float).eps)
+        assert np.array_equal(d.alpha, Q @ ((Q.T @ s.Y) / w))
 
 
 class TestPredictAndCoefficients:
