@@ -9,8 +9,8 @@ import numpy as np
 from rkhslab import (
     SpectralKernel,
     effective_dimension,
+    embedding_index,
     embedding_norm,
-    estimate_alpha_star,
     fit_loglog_slope,
     make_power_law_spectrum,
     theoretical_exponent,
@@ -30,14 +30,15 @@ slope, _ = fit_loglog_slope(1.0 / grid, n_eff)
 print(f"\neffective-dimension growth: lambda^-{slope:.3f} (theory 1/beta = 0.5)")
 
 # Embedding norms M_alpha^2 = sup_x sum mu_i^alpha e_i(x)^2 for the cosine
-# basis on [0, 1].  The sum is finite exactly when alpha > 1/beta.
+# basis on [0, 1], attained at x = 0.  The untruncated sum is finite exactly
+# when alpha exceeds the embedding index alpha* = 1/beta (or equals it with
+# zeta > 1).
 kernel = SpectralKernel(spec)
 for alpha in (0.6, 0.8, 1.0):
-    rep = embedding_norm(kernel, alpha)
-    print(f"M_{alpha} = {rep.m_alpha:.4f}  ({rep.method})")
+    print(f"M_{alpha} = {embedding_norm(kernel, alpha):.4f}")
 
-a_star = estimate_alpha_star(kernel)
-print(f"\nestimated embedding index alpha* = {a_star:.4f} (theory 1/beta = 0.5)")
+a_star = embedding_index(kernel)
+print(f"\nembedding index alpha* = 1/beta = {a_star:.4f}")
 
 # The predicted growth exponent of the interpolation error in the
 # gamma-norm, together with its qualitative classification.

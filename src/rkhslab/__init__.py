@@ -3,7 +3,7 @@
 Subpackages:
 
 * :mod:`rkhslab.spectra` -- eigenvalue sequences, effective dimension,
-  embedding norms/index, predicted exponents.
+  embedding index and norms from the decay law, predicted exponents.
 * :mod:`rkhslab.kernels` -- explicit Mercer kernels (cosine basis, dot-product
   kernels on spheres via Gegenbauer polynomials, the ReLU tangent kernel).
 * :mod:`rkhslab.operators` -- truncated covariance models, gamma-norms, and
@@ -58,12 +58,11 @@ from .solvers import (
 )
 from .spectra import (
     DivergentEmbedding,
-    EmbeddingReport,
     ExponentReport,
     Spectrum,
     effective_dimension,
+    embedding_index,
     embedding_norm,
-    estimate_alpha_star,
     make_power_law_spectrum,
     theoretical_exponent,
 )

@@ -35,7 +35,7 @@ from .operators import (
     variance_curve,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
-from .spectra import _write_csv, make_power_law_spectrum, theoretical_exponent
+from .spectra import embedding_index, make_power_law_spectrum, theoretical_exponent
 
 __all__ = [
     "ConfigError",
@@ -190,6 +190,14 @@ def make_responses(X, f_star_values, sigma: float, rng: np.random.Generator) -> 
     return f + sigma * rng.standard_normal(len(X))
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one line per row, each value formatted as %.17g."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
 def _write_plot_script(out: Path, files: list[str]) -> None:
     lines = [
         "#!/usr/bin/env python3",
@@ -303,8 +311,7 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     kernel = cfg.build_kernel()
-    alpha_star = 1.0 / cfg.beta  # uniformly bounded basis pins the embedding index
-    pred = theoretical_exponent(cfg.gamma, cfg.beta, alpha_star)
+    pred = theoretical_exponent(cfg.gamma, cfg.beta, embedding_index(kernel))
     f_coeffs = cfg.f_star_coeffs()
 
     def one(n: int, r: int) -> float:

@@ -23,7 +23,6 @@ profile onto its per-degree eigenvalues.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -223,16 +222,6 @@ class DotProductSpectrum:
     def multiplicities(self) -> np.ndarray:
         return np.array([multiplicity(self.d, k) for k in range(len(self.a))], dtype=float)
 
-    def trace(self) -> float:
-        """K(x, x) = sum_k a_k N(d, k), constant on the sphere."""
-        return float(np.sum(self.a * self.multiplicities()))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.d, "a": self.a.tolist(), "N": self.multiplicities().astype(int).tolist()},
-            sort_keys=True,
-        )
-
 
 def dot_product_kernel_eval(s: DotProductSpectrum, t) -> float | np.ndarray:
     """K(t) = sum_k a_k N(d, k) P_k(t) for t = <x, x'>."""
@@ -252,10 +241,10 @@ def ntk_eval(t) -> float | np.ndarray:
 def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:
     """Recover per-degree eigenvalues a_k of a scalar profile g on [-1, 1].
 
-    Uses Gauss-Jacobi quadrature with the sphere weight (1 - t^2)^(d/2 - 1);
-    the normalization constants are obtained from the numerically computed
-    Gegenbauer self-products under the same rule, so exactness of polynomial
-    integration makes the projection self-consistent.  The order starts at
+    Uses Gauss-Jacobi quadrature with the sphere weight omega(t) = (1 - t^2)^(d/2 - 1).
+    By the Funk-Hecke identity int P_k^2 omega = int omega / N(d, k), so
+    a_k = int g P_k omega / (N(d, k) int P_k^2 omega) = int g P_k omega / int omega,
+    and the rule's weights sum to int omega.  The order starts at
     max(2 (k_max + 1), ``QUAD_MIN_ORDER``) and is doubled until the
     coefficients stabilize to ``QUAD_RTOL``.
     """
@@ -263,14 +252,11 @@ def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:
     from scipy.special import roots_jacobi
 
     quad_order = max(2 * (k_max + 1), QUAD_MIN_ORDER)
-    nmult = np.array([multiplicity(d, k) for k in range(k_max + 1)], dtype=float)
 
     def coeffs(order: int) -> np.ndarray:
         x, w = roots_jacobi(order, d / 2 - 1, d / 2 - 1)
         P = _gegenbauer_table(k_max, d, x)
-        gv = np.asarray(g(x), dtype=float)
-        norms = (P**2) @ w
-        return (P @ (w * gv)) / (nmult * norms)
+        return (P @ (w * np.asarray(g(x), dtype=float))) / np.sum(w)
 
     a = coeffs(quad_order)
     for _ in range(QUAD_MAX_DOUBLINGS):

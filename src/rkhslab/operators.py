@@ -129,7 +129,8 @@ def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
 
     With the thin SVD psi = U diag(s) Vt, d = s / (s^2/n + lambda) for every lambda >= 0.
     """
-    if lam < 0:
+    # the lambda checks of this module are negated inclusions, so that NaN fails them too
+    if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
     U, svals, Vt = m._svd
     if lam == 0:
@@ -161,7 +162,7 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     kernel with exponent 2 - gamma, from one eigendecomposition of G/n + lambda I.
     Algebraically identical to the coefficient route in the truncated model.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
     X = np.atleast_1d(np.asarray(X, dtype=float))
     n = len(X)
@@ -177,14 +178,14 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
 
 def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """Population-covariance approximation of V at the sampled points."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive (got {lam})")
     return float(np.sum(_variance_terms(m.mu, gamma, lam) * m._e_sq_sums)) / m.n**2
 
 
 def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive (got {lam})")
     if n < 1:
         raise ValueError(f"n must be at least 1 (got {n})")
@@ -228,7 +229,7 @@ class VarianceCurve:
 def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid) -> VarianceCurve:
     """Evaluate V (coefficient route), V1, V2 on a grid of positive regularization levels."""
     lam = np.asarray(lambda_grid, dtype=float)
-    if lam.size == 0 or np.any(lam <= 0):
+    if lam.size == 0 or not np.all(lam > 0):
         raise ValueError("lambda grid must be non-empty and positive")
     v = np.array([v_lambda_coefficient_route(m, gamma, l) for l in lam])
     v1 = np.array([v1_lambda(m, gamma, l) for l in lam])
@@ -303,7 +304,7 @@ def concentration_trial(
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
     spec = kernel.spectrum
-    m_alpha = embedding_norm(kernel, alpha).m_alpha
+    m_alpha = embedding_norm(kernel, alpha)
     n_eff = effective_dimension(spec, lam)
     mu1 = float(spec.mu[0])
     b_nu = float(np.log(2.0 * np.e * n_eff * (mu1 + lam) / mu1))

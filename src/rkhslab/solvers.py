@@ -95,7 +95,8 @@ def ridge_fit(
     retry with jitter (see :func:`min_norm_fit`).  A regularized system that
     Cholesky rejects is solved with eigenvalues clipped at eps times the largest.
     """
-    if lam < 0 or jitter < 0:
+    # a negated inclusion, so that NaN fails it too
+    if not (lam >= 0 and jitter >= 0):
         raise ValueError("lambda and jitter must be nonnegative")
     A = gram_matrix(kernel, s.X)
     A.flat[:: s.n + 1] += s.n * lam + jitter

@@ -2,16 +2,16 @@
 
 A :class:`Spectrum` holds a truncated non-increasing sequence of positive
 eigenvalues mu_i sandwiched between constant multiples of (i (log i)^zeta)^(-beta).
-All quantities here depend on the eigenvalues alone: effective dimension,
-embedding norms M_alpha in closed form (the eigenfunctions evaluated at
-x = 0 for the 1-d cosine basis, per-degree multiplicities on the sphere) and the
-numerical embedding index, and predicted error-growth exponents.
+All quantities here depend on the eigenvalues and their declared decay law
+alone: effective dimension, the embedding index alpha* = 1/beta and the
+embedding norms M_alpha of the cosine-basis kernel (the eigenfunctions
+evaluated at x = 0, with divergence decided by (beta, zeta)), and predicted
+error-growth exponents.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -19,27 +19,20 @@ import numpy as np
 __all__ = [
     "DivergentEmbedding",
     "Spectrum",
-    "EmbeddingReport",
     "ExponentReport",
     "make_power_law_spectrum",
     "effective_dimension",
+    "embedding_index",
     "embedding_norm",
-    "estimate_alpha_star",
     "theoretical_exponent",
 ]
 
-# Shrink of the extrapolated dyadic block ratio below 1 required to declare a
-# series convergent, at block length q = 1; the margin relaxes as q^(-3/2),
-# more slowly than the O(q^-2) extrapolation error.
-TAIL_MARGIN = 0.02
-# bisection width of the numerical embedding index
-ALPHA_STAR_TOL = 1e-4
 # working precision (decimal digits) of the closed-form spectrum tail
 TAIL_DPS = 40
 
 
 class DivergentEmbedding(ArithmeticError):
-    """The embedding-norm series fails the convergence test (alpha <= alpha*)."""
+    """The embedding series diverges: alpha < alpha*, or alpha = alpha* with zeta <= 1."""
 
 
 @dataclass(frozen=True)
@@ -105,102 +98,42 @@ def _tail_mass(beta: float, zeta: float, M: int) -> float:
 
 def effective_dimension(s: Spectrum, lam: float) -> float:
     """Trace of (C + lambda)^(-1) C, i.e. sum mu_i / (mu_i + lambda)."""
-    if lam <= 0:
+    if not lam > 0:  # a negated inclusion, so that NaN fails it too
         raise ValueError(f"lambda must be positive (got {lam})")
     return float(np.sum(s.mu / (s.mu + lam)))
 
 
-def _increment_ratio(terms: np.ndarray) -> float:
-    """Dyadic block-sum ratio of a term sequence, extrapolated in block length.
+def embedding_index(kernel) -> float:
+    """Embedding index alpha* = 1/beta of a cosine-basis kernel.
 
-    For terms ~ (i + c)^(-p) the ratio R(q) of the sums over [2q, 4q) and
-    [q, 2q) is 2^(1-p) + O(c/q): the index offset c alone moves a divergent
-    p = 1 tail to either side of 1.  One Richardson step over the blocks
-    [q, 2q), [2q, 4q), [4q, 8q), q = m // 8, returns 2 R(2q) - R(q), which
-    cancels the O(1/q) term and leaves O(q^-2).
+    The basis is bounded by sqrt(2) and attains the bound at x = 0, so the
+    embedding series sum_i mu_i^alpha e_i(x)^2 is bounded exactly when
+    sum_i mu_i^alpha converges.  Under the declared law
+    mu_i ~ (i (log i)^zeta)^(-beta) that happens for alpha > 1/beta.
     """
-    q = len(terms) // 8
-    s0, s1, s2 = (float(np.sum(terms[a : 2 * a])) for a in (q, 2 * q, 4 * q))
-    if s0 == 0.0 or s1 == 0.0:
-        return 0.0
-    return 2.0 * s2 / s1 - s1 / s0
+    return 1.0 / kernel.spectrum.beta
 
 
-def _series_converges(terms: np.ndarray) -> bool:
-    q = len(terms) // 8
-    if q == 0:
-        # too short to resolve divergence; a truncated sum this small is finite
-        return True
-    return _increment_ratio(terms) < 1.0 - TAIL_MARGIN * q**-1.5
+def embedding_norm(kernel, alpha: float) -> float:
+    """Embedding norm M_alpha of the alpha-power space into the sup norm.
 
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """Sup-norm of the weighted eigenfunction square sum at a given power alpha."""
-
-    alpha: float
-    m_alpha: float
-    method: str  # closed_form_cosine | closed_form_sphere
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def _embedding_terms(kernel_spec, alpha: float):
-    """Per-index terms of the embedding series and the method label.
-
-    * a dot-product spectrum on the sphere gives sum_k a_k^alpha N(d, k);
-    * a spectral kernel attains the sup at x = 0, where every cosine mode
-      squares to its maximum.
-    """
-    if hasattr(kernel_spec, "a") and hasattr(kernel_spec, "d"):
-        terms = kernel_spec.a**alpha * kernel_spec.multiplicities()
-        return terms, "closed_form_sphere"
-    e0_sq = kernel_spec.basis_matrix(0.0)[0] ** 2
-    return kernel_spec.spectrum.mu**alpha * e0_sq, "closed_form_cosine"
-
-
-def estimate_alpha_star(kernel_spec) -> float:
-    """Numerical embedding index: bisect on alpha over series convergence.
-
-    The infimum itself may or may not be attained; this returns the smallest
-    alpha (within ``ALPHA_STAR_TOL``) at which the truncated series passes the
-    extrapolated dyadic tail test.
-    """
-    def converges(a: float) -> bool:
-        return _series_converges(_embedding_terms(kernel_spec, a)[0])
-
-    if not converges(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > ALPHA_STAR_TOL:
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            hi = mid
-        else:
-            lo = mid
-    # the index can never fall below 1/beta when the decay rate is known
-    beta = getattr(getattr(kernel_spec, "spectrum", None), "beta", None)
-    if beta is not None:
-        hi = max(hi, 1.0 / beta)
-    return hi
-
-
-def embedding_norm(kernel_spec, alpha: float) -> EmbeddingReport:
-    """Embedding operator norm M_alpha of the alpha-power space into sup norm.
-
-    Raises :class:`DivergentEmbedding` when the defining series fails the
-    convergence test, signalling alpha <= alpha*.
+    M_alpha^2 = sum_i mu_i^alpha e_i(0)^2, the supremum over x of the
+    weighted square sum, over the truncated spectrum.  Whether the untruncated
+    series converges is decided from the (beta, zeta) declared on the
+    :class:`Spectrum`, not from the eigenvalues it stores: it converges for
+    alpha > alpha* = 1/beta, and at alpha = alpha* exactly when zeta > 1,
+    since sum 1/(i (log i)^zeta) converges only then.  Otherwise this raises
+    :class:`DivergentEmbedding`.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1] (got {alpha})")
-    terms, method = _embedding_terms(kernel_spec, alpha)
-    if not _series_converges(terms):
+    a_star, zeta = embedding_index(kernel), kernel.spectrum.zeta
+    if alpha < a_star or (alpha == a_star and zeta <= 1):
         raise DivergentEmbedding(
-            f"embedding series diverges at alpha={alpha} "
-            f"(increment ratio {_increment_ratio(terms):.6f})"
+            f"embedding series diverges at alpha = {alpha} (alpha* = {a_star}, zeta = {zeta})"
         )
-    return EmbeddingReport(alpha=alpha, m_alpha=float(np.sqrt(np.sum(terms))), method=method)
+    e0_sq = kernel.basis_matrix(0.0)[0] ** 2
+    return float(np.sqrt(np.sum(kernel.spectrum.mu**alpha * e0_sq)))
 
 
 @dataclass(frozen=True)
@@ -235,10 +168,3 @@ def _variance_terms(mu: np.ndarray, gamma: float, lam: float) -> np.ndarray:
     """Terms mu_i^(2-gamma) / (mu_i + lambda)^2 of the variance sum S(lambda)."""
     return mu ** (2.0 - gamma) / (mu + lam) ** 2
 
-
-def _write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and one line per row, each value formatted as %.17g."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

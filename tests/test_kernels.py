@@ -252,13 +252,6 @@ class TestDotProductKernel:
         expected = 0.5 * 1 + 0.2 * 3 + 0.1 * 5
         assert dot_product_kernel_eval(s, 1.0) == pytest.approx(expected)
 
-    def test_json(self):
-        import json
-
-        s = DotProductSpectrum(2, np.array([1.0, 0.5]))
-        payload = json.loads(s.to_json())
-        assert payload["d"] == 2 and payload["N"] == [1, 3]
-
 
 class TestNtk:
     def test_endpoints(self):

@@ -6,6 +6,7 @@ import rkhslab.operators as operators
 from rkhslab import (
     IllConditionedGram,
     NotInPowerSpace,
+    SampleSet,
     SingularOperator,
     SpectralKernel,
     Spectrum,
@@ -17,6 +18,7 @@ from rkhslab import (
     kernel_eval,
     make_power_law_spectrum,
     norm_eq_check,
+    ridge_fit,
     v1_lambda,
     v2_lambda,
     v_lambda_coefficient_route,
@@ -221,6 +223,34 @@ def test_both_routes_reject_negative_lambda(route):
         route(k, X, -1e-3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, X, lam: v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam),
+        lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam),
+        lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)),
+        lambda k, X, lam: variance_curve(build_operator_model(k, X), 0.5, [0.1, lam]),
+        lambda k, X, lam: effective_dimension(k.spectrum, lam),
+        lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam),
+        lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam),
+    ],
+    ids=[
+        "v_lambda_coefficient_route",
+        "v1_lambda",
+        "v2_lambda",
+        "variance_curve",
+        "effective_dimension",
+        "v_lambda_gram_route",
+        "ridge_fit",
+    ],
+)
+def test_nan_lambda_rejected(call):
+    k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+    X = np.random.default_rng(14).random(8)
+    with pytest.raises(ValueError, match="lambda"):
+        call(k, X, float("nan"))
+
+
 class TestV1Lambda:
     def test_scalar_instance(self):
         m = build_operator_model(one_mode_kernel(), [0.5])
@@ -324,7 +354,7 @@ class TestEmbeddingInequality:
         # || D^{(1-gamma)/2} (D + lam)^{-1} psi(x) || <= M_alpha lam^{-(gamma+alpha)/2}
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 2048))
         alpha, gamma = 0.75, 0.25
-        m_alpha = embedding_norm(k, alpha).m_alpha
+        m_alpha = embedding_norm(k, alpha)
         X = np.random.default_rng(10).random(50)
         m = build_operator_model(k, X)
         for lam in (1e-3, 1e-2, 1e-1):

@@ -1,5 +1,3 @@
-import json
-
 import mpmath
 import numpy as np
 import pytest
@@ -8,14 +6,14 @@ from rkhslab import (
     DivergentEmbedding,
     SpectralKernel,
     Spectrum,
+    concentration_trial,
     effective_dimension,
+    embedding_index,
     embedding_norm,
-    estimate_alpha_star,
     make_power_law_spectrum,
     theoretical_exponent,
 )
-from rkhslab.kernels import DotProductSpectrum
-from rkhslab.spectra import _series_converges, _tail_mass
+from rkhslab.spectra import _tail_mass
 
 
 class TestMakePowerLawSpectrum:
@@ -124,19 +122,11 @@ class TestEffectiveDimension:
 class TestEmbeddingNorm:
     def test_single_constant_mode(self):
         k = SpectralKernel(Spectrum(np.array([1.0]), beta=2.0, zeta=0.0))
-        assert embedding_norm(k, 1.0).m_alpha == pytest.approx(1.0)
+        assert embedding_norm(k, 1.0) == pytest.approx(1.0)
 
     def test_two_mode_closed_form(self):
         k = SpectralKernel(Spectrum(np.array([1.0, 0.25]), beta=2.0, zeta=0.0))
-        rep = embedding_norm(k, 1.0)
-        assert rep.m_alpha**2 == pytest.approx(1.5)
-        assert rep.method == "closed_form_cosine"
-
-    def test_dot_product_closed_form(self):
-        dp = DotProductSpectrum(2, np.array([1.0, 1.0 / 8.0]))
-        rep = embedding_norm(dp, 1.0)
-        assert rep.m_alpha**2 == pytest.approx(1.0 + 3.0 / 8.0)
-        assert rep.method == "closed_form_sphere"
+        assert embedding_norm(k, 1.0) ** 2 == pytest.approx(1.5)
 
     def test_divergent_below_index(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 10_000))
@@ -148,7 +138,7 @@ class TestEmbeddingNorm:
     )
     def test_convergent_short_series(self, M):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
-        assert np.isfinite(embedding_norm(k, 0.55).m_alpha)
+        assert np.isfinite(embedding_norm(k, 0.55))
 
     @pytest.mark.parametrize(
         "M", [64, 513, 1000, 4096, 4097], ids="{}-cosine_unit_interval".format
@@ -162,27 +152,45 @@ class TestEmbeddingNorm:
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("m", [8, 13, 64, 1000, 50_001])
     def test_harmonic_tail_rejected_for_any_offset(self, c, m):
-        t = np.arange(m, dtype=float) + c
-        terms = 1.0 / np.where(t > 0, t, 1.0)
-        assert not _series_converges(terms)
+        # at alpha = 1/beta the stored terms are exactly 1/(i + c); the verdict
+        # comes from the declared law, whatever the offset or truncation
+        mu = (np.arange(1, m + 1) + c) ** -2.0
+        k = SpectralKernel(Spectrum(mu, beta=2.0, zeta=0.0))
+        with pytest.raises(DivergentEmbedding):
+            embedding_norm(k, 0.5)
+
+    @pytest.mark.parametrize("zeta,alpha", [(-2.0, 0.6), (-1.0, 0.55), (2.0, 0.5)])
+    def test_converges_with_log_factor(self, zeta, alpha):
+        # sum (i (log i)^zeta)^(-2 alpha) converges for 2 alpha > 1 whatever
+        # zeta, and at 2 alpha = 1 for zeta > 1
+        k = SpectralKernel(make_power_law_spectrum(2.0, zeta, 4096))
+        m_alpha = embedding_norm(k, alpha)
+        e0_sq = np.r_[1.0, np.full(4095, 2.0)]
+        assert m_alpha**2 == pytest.approx(np.sum(k.spectrum.mu**alpha * e0_sq), rel=1e-14)
+
+    @pytest.mark.parametrize("M", [4096, 100_000])
+    @pytest.mark.parametrize("zeta", [0.5, 1.0])
+    def test_diverges_at_the_index_with_weak_log_factor(self, zeta, M):
+        # sum 1/(i (log i)^zeta) diverges for zeta <= 1
+        k = SpectralKernel(make_power_law_spectrum(2.0, zeta, M))
+        with pytest.raises(DivergentEmbedding):
+            embedding_norm(k, 0.5)
 
     def test_alpha_one_always_finite(self):
         for beta in (1.5, 2.0, 3.0):
             k = SpectralKernel(make_power_law_spectrum(beta, 0.0, 5000))
-            assert np.isfinite(embedding_norm(k, 1.0).m_alpha)
+            assert np.isfinite(embedding_norm(k, 1.0))
 
     def test_m_alpha_non_increasing_in_alpha(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 5000))
         alphas = [0.6, 0.7, 0.8, 0.9, 1.0]
-        vals = [embedding_norm(k, a).m_alpha for a in alphas]
+        vals = [embedding_norm(k, a) for a in alphas]
         assert np.all(np.diff(vals) <= 0)
 
-    def test_json_roundtrip(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 100))
-        payload = json.loads(embedding_norm(k, 1.0).to_json())
-        assert set(payload) == {"alpha", "m_alpha", "method"}
-        assert payload["method"] == "closed_form_cosine"
-        assert payload["m_alpha"] > 0
+    def test_concentration_trial_with_negative_zeta(self):
+        k = SpectralKernel(make_power_law_spectrum(2.0, -2.0, 4096))
+        rep = concentration_trial(k, n=64, lam=0.01, alpha=0.6, tau=3, trials=5, rng_seed=0)
+        assert rep.m_alpha == embedding_norm(k, 0.6)
 
     @pytest.mark.parametrize(
         "M", [7, 8, 64], ids="{}-cosine_unit_interval-closed_form_cosine".format
@@ -190,22 +198,26 @@ class TestEmbeddingNorm:
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
     def test_closed_form_is_the_sup_over_a_fine_grid(self, M, alpha):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, M))
-        rep = embedding_norm(k, alpha)
         sums = k.basis_matrix(np.linspace(0.0, 1.0, 20001)) ** 2 @ k.spectrum.mu**alpha
-        assert rep.m_alpha**2 == pytest.approx(np.max(sums), rel=1e-12)
-        assert rep.method == "closed_form_cosine"
+        assert embedding_norm(k, alpha) ** 2 == pytest.approx(np.max(sums), rel=1e-12)
 
 
 class TestAlphaStar:
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_at_least_inverse_beta(self, beta):
+        # the embedding norm is finite just above the index and diverges at it
         k = SpectralKernel(make_power_law_spectrum(beta, 0.0, 10_000))
-        a = estimate_alpha_star(k)
-        assert a >= 1.0 / beta - 1e-12
+        a = embedding_index(k)
+        assert a == 1.0 / beta
+        assert np.isfinite(embedding_norm(k, a + 1e-3))
+        with pytest.raises(DivergentEmbedding):
+            embedding_norm(k, a)
 
     def test_close_to_inverse_beta_for_bounded_basis(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 50_000))
-        assert estimate_alpha_star(k) == pytest.approx(0.5, abs=0.02)
+        # the log factor does not move the index
+        for zeta in (-2.0, -1.0, 0.0, 0.5, 2.0):
+            k = SpectralKernel(make_power_law_spectrum(2.0, zeta, 4096))
+            assert embedding_index(k) == 0.5
 
 
 class TestTheoreticalExponent:
