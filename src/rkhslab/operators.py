@@ -9,12 +9,12 @@ The conditional-variance functional
 
     V(lambda) = (1/n^2) sum_i || D^{(1-gamma)/2} (C_emp + lambda)^{-1} psi(x_i) ||^2
 
-is computed by two independent routes: in coefficient space from the thin
-SVD of psi, computed once per model and shared by every lambda >= 0, and
-from one eigendecomposition of the n x n Gram matrix with the
-fractional-power kernel.  Its population approximations V1 (empirical
-points, population covariance) and V2 (fully averaged closed form) have
-diagonal closed forms.  :func:`variance_curve` evaluates V by the
+is computed by two independent routes: in coefficient space from the SVD
+of psi through the QR triangle of psi^T, computed once per model and shared
+by every lambda >= 0, and from one eigendecomposition of the n x n Gram
+matrix with the fractional-power kernel.  Its population approximations V1
+(empirical points, population covariance) and V2 (fully averaged closed
+form) have diagonal closed forms.  :func:`variance_curve` evaluates V by the
 coefficient route; :func:`v_lambda_gram_route` is the independent check.
 """
 
@@ -50,6 +50,8 @@ __all__ = [
 RANK_CUTOFF = 1e-12
 # largest condition number of G/n + lambda I the Gram route accepts
 COND_LIMIT = 1e14
+# rows of W below this fraction of s[0] are re-orthogonalized; above, eps s[0] / s <= 2e-12
+REORTH_CUTOFF = 1e-4
 
 
 class NotInPowerSpace(ArithmeticError):
@@ -70,7 +72,7 @@ class IllConditionedGram(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class TruncatedOperatorModel:
-    """Sample X with its coefficient map psi and, on first use, its thin SVD."""
+    """Sample X with its coefficient map psi and, on first use, its SVD factors U, s, W."""
 
     kernel: SpectralKernel
     X: np.ndarray
@@ -91,15 +93,21 @@ class TruncatedOperatorModel:
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # thin SVD U, s, Vt of psi, shared by every lambda and gamma; psi is
-        # wide, and factoring the tall psi^T lets LAPACK take its faster QR path
-        Ut, s, V = np.linalg.svd(self.psi.T, full_matrices=False)
-        return V.T, s, Ut.T
+        # psi = U W, shared by every lambda and gamma: psi^T = Q R and R = P diag(s) Vr give
+        # U = Vr^T and W = Vr psi = diag(s) (Q P)^T without forming Q, and R is never squared
+        R = np.linalg.qr(self.psi.T, mode="r")
+        _, s, Vr = np.linalg.svd(R, full_matrices=False)
+        W = Vr @ self.psi
+        # a row far below s[0] errs by about eps s[0] along the leading rows, which would
+        # dominate V near lambda = 0: project that off
+        j = np.searchsorted(-s, -REORTH_CUTOFF * s[0])
+        W[j:] -= (W[j:] @ W[:j].T / s[:j] ** 2) @ W[:j]
+        return Vr.T, s, W
 
     @cached_property
     def _e_sq_sums(self) -> np.ndarray:
         # sum_i e_l(x_i)^2 = sum_i psi_{il}^2 / mu_l per mode l, shared by every lambda and gamma
-        return np.sum(self.psi**2, axis=0) / self.mu
+        return np.einsum("kl,kl->l", self.psi, self.psi) / self.mu
 
 
 def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
@@ -110,10 +118,17 @@ def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
     return TruncatedOperatorModel(kernel=kernel, X=X, psi=_features(kernel, X, 1.0))
 
 
+def _check_gamma(gamma) -> np.ndarray:
+    """gamma (scalar or sequence) as a 1-d array; a negated inclusion, so that NaN fails too."""
+    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
+    if not np.all((gammas >= 0) & (gammas <= 1)):
+        raise ValueError(f"gamma must lie in [0, 1] (got {gamma})")
+    return gammas
+
+
 def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
     """Squared gamma-norm sum mu_i^(-gamma) c_i^2 of L2 coefficients c."""
-    if not 0 <= gamma <= 1:
-        raise ValueError(f"gamma must lie in [0, 1] (got {gamma})")
+    _check_gamma(gamma)
     c = np.asarray(c, dtype=float)
     if len(c) > s.size:
         raise ValueError("coefficient vector longer than the spectrum")
@@ -125,20 +140,21 @@ def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
 
 
 def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
-    """Factors U, d, Vt of Z = Vt.T @ diag(d) @ U.T, columns z_i = (C_emp + lambda)^{-1} psi(x_i).
+    """Factors U, e, W of Z = W.T @ diag(e) @ U.T, columns z_i = (C_emp + lambda)^{-1} psi(x_i).
 
-    With the thin SVD psi = U diag(s) Vt, d = s / (s^2/n + lambda) for every lambda >= 0.
+    With psi = U W, the rows of W orthogonal with norms s, e = 1 / (s^2/n + lambda) for every
+    lambda >= 0; W is never divided by s, so Z stays finite at a zero singular value.
     """
     # the lambda checks of this module are negated inclusions, so that NaN fails them too
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
-    U, svals, Vt = m._svd
+    U, svals, W = m._svd
     if lam == 0:
         # the inverse on the span of {psi(x_k)} needs n singular values above the cutoff
         rank = np.count_nonzero(svals > svals[0] * RANK_CUTOFF)
         if rank < m.n:
             raise SingularOperator(f"empirical rank {rank} < n = {m.n} at lambda = 0")
-    return U, svals / (svals**2 / m.n + lam), Vt
+    return U, 1.0 / (svals**2 / m.n + lam), W
 
 
 def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma, lam: float):
@@ -147,9 +163,9 @@ def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma, lam: float):
     ``gamma`` may be a scalar or a sequence; the factorization is shared
     across all requested smoothness indices and regularization levels.
     """
-    _, d, Vt = _coefficient_solution(m, lam)
-    row_sq = (Vt**2).T @ d**2  # sum of Z**2 over sample points, per mode
-    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
+    gammas = _check_gamma(gamma)
+    _, e, W = _coefficient_solution(m, lam)
+    row_sq = np.einsum("kl,kl,k->l", W, W, e**2)  # sum of Z**2 over sample points, per mode
     out = np.sum(m.mu ** (1.0 - gammas[:, None]) * row_sq, axis=1) / m.n**2
     return float(out[0]) if np.isscalar(gamma) else out
 
@@ -164,6 +180,7 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     """
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
+    _check_gamma(gamma)
     X = np.atleast_1d(np.asarray(X, dtype=float))
     n = len(X)
     A = gram_matrix(kernel, X)
@@ -180,6 +197,7 @@ def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """Population-covariance approximation of V at the sampled points."""
     if not lam > 0:
         raise ValueError(f"lambda must be positive (got {lam})")
+    _check_gamma(gamma)
     return float(np.sum(_variance_terms(m.mu, gamma, lam) * m._e_sq_sums)) / m.n**2
 
 
@@ -189,6 +207,7 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
         raise ValueError(f"lambda must be positive (got {lam})")
     if n < 1:
         raise ValueError(f"n must be at least 1 (got {n})")
+    _check_gamma(gamma)
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
 
 
@@ -299,7 +318,7 @@ def concentration_trial(
     the empirical covariance against its high-probability bound and (b)
     |V1 - V2| against sqrt(tau) M_alpha^2 / (sqrt(2) n^{3/2} lam^{gamma+alpha}).
     """
-    if tau < 1:
+    if not tau >= 1:
         raise ValueError(f"tau must be at least 1 (got {tau})")
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")

@@ -156,8 +156,8 @@ def operator_rep_check(
     psi(x_i); the two agree up to solver tolerance.
     """
     w_dual = m.psi.T @ d.alpha
-    U, d_svd, Vt = _coefficient_solution(m, lam)
-    w_op = Vt.T @ (d_svd * (U.T @ s.Y)) / m.n
+    U, e, W = _coefficient_solution(m, lam)
+    w_op = W.T @ (e * (U.T @ s.Y)) / m.n
     return float(np.max(np.abs(w_dual - w_op)))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -143,6 +145,16 @@ class TestVCoefficientRoute:
             brute, rel=1e-8
         )
 
+    def test_lambda_zero_accurate_on_ill_conditioned_draw(self):
+        # this draw's psi has condition number 1.7e7; the reference is
+        # V(0) = sum_k ||v_k||_w^2 / s_k^2 from the orthonormal right singular vectors
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 1024))
+        m = build_operator_model(k, np.random.default_rng(3).random(256))
+        _, s, Vt = np.linalg.svd(m.psi, full_matrices=False)
+        for gamma in (0.0, 0.5):
+            ref = np.sum((Vt**2 @ m.mu ** (1.0 - gamma)) / s**2)
+            assert v_lambda_coefficient_route(m, gamma, 0.0) == pytest.approx(ref, rel=1e-9)
+
     def test_lambda_zero_rank_deficient(self):
         m = build_operator_model(two_mode_kernel(), [0.2, 0.4, 0.6])
         with pytest.raises(SingularOperator):
@@ -157,7 +169,7 @@ class TestVCoefficientRoute:
     def test_parseval_aggregation_identity(self, n):
         # (1/n^2) sum_i gamma_norm_sq of the L2 coefficients of
         # (C_emp + lam)^{-1} psi(x_i) reproduces the functional itself;
-        # n = 80 > M = 64 puts more sample points than modes in the thin SVD
+        # n = 80 > M = 64 puts more sample points than modes in the factorization
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
         X = np.random.default_rng(5).random(n)
         m = build_operator_model(k, X)
@@ -173,27 +185,88 @@ class TestVCoefficientRoute:
 
     def test_one_svd_per_model(self, monkeypatch):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
-        real, calls = np.linalg.svd, []
+        calls = []
 
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, call)
+
+        counting("svd")
+        counting("qr")
         m = build_operator_model(k, np.random.default_rng(11).random(12))
-        assert len(calls) == 0  # the factorization is computed on first use
+        assert calls == []  # the factorization is computed on first use
         variance_curve(m, 0.5, [1e-3, 1e-2, 1e-1])
-        assert len(calls) == 1
+        assert sorted(calls) == ["qr", "svd"]
         v_lambda_coefficient_route(m, [0.0, 0.25, 0.5], 0.0)
-        assert len(calls) == 1
+        assert sorted(calls) == ["qr", "svd"]
 
     def test_svd_factors_reconstruct_psi(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 256))
-        m = build_operator_model(k, np.random.default_rng(12).random(40))
-        U, s, Vt = m._svd
-        assert U.shape == (40, 40) and s.shape == (40,) and Vt.shape == (40, 256)
-        assert np.linalg.norm((U * s) @ Vt - m.psi) <= 1e-12 * np.linalg.norm(m.psi)
-        assert np.allclose(U.T @ U, np.eye(40), rtol=0.0, atol=1e-12)
+        rng = np.random.default_rng(12)
+        models = {
+            "wide": build_operator_model(
+                SpectralKernel(make_power_law_spectrum(2.0, 0.0, 256)), rng.random(40)
+            ),
+            "tall": build_operator_model(
+                SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64)), rng.random(100)
+            ),
+            # rank M = 2 < n = 3: singular at lambda = 0
+            "rank_deficient": build_operator_model(two_mode_kernel(), [0.2, 0.4, 0.6]),
+        }
+        for name, m in models.items():
+            U, s, W = m._svd
+            r = min(m.psi.shape)
+            assert U.shape == (m.n, r) and s.shape == (r,) and W.shape == (r, m.mu.size), name
+            assert np.allclose(U.T @ U, np.eye(r), rtol=0.0, atol=1e-12), name
+            assert np.linalg.norm(U @ W - m.psi) <= 1e-12 * np.linalg.norm(m.psi), name
+            s_ref = np.linalg.svd(m.psi, compute_uv=False)
+            assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0], name
+            # the rows of W are orthogonal with norms s
+            assert np.allclose(W @ W.T, np.diag(s**2), rtol=0.0, atol=1e-12 * s[0] ** 2), name
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-1])
+    def test_rank_deficient_model_matches_gram_route(self, lam):
+        k, X = two_mode_kernel(), [0.2, 0.4, 0.6]
+        v = v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam)
+        assert np.isfinite(v)
+        assert v == pytest.approx(v_lambda_gram_route(k, X, 0.5, lam), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: v_lambda_coefficient_route(m, [0.0, 0.5], 1e-2),
+            lambda m: v1_lambda(m, 0.5, 1e-2),
+        ],
+        ids=["v_lambda_coefficient_route", "v1_lambda"],
+    )
+    def test_no_n_by_m_temporary_once_factored(self, call):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 2048))
+        m = build_operator_model(k, np.random.default_rng(15).random(256))
+        m._svd  # computes and caches the factors
+        tracemalloc.start()
+        try:
+            call(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.psi.nbytes / 2
+
+    def test_variance_curve_is_independent_of_the_gram_route(self, monkeypatch):
+        # the two routes of V must share no step, or their agreement checks nothing
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Gram-route step called by the coefficient route")
+
+        monkeypatch.setattr(operators, "gram_matrix", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+        m = build_operator_model(k, np.random.default_rng(16).random(12))
+        curve = variance_curve(m, 0.5, [1e-3, 1e-1])
+        assert np.all(np.isfinite(curve.v))
 
 
 class TestVGramRoute:
@@ -249,6 +322,35 @@ def test_nan_lambda_rejected(call):
     X = np.random.default_rng(14).random(8)
     with pytest.raises(ValueError, match="lambda"):
         call(k, X, float("nan"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, X, g: v_lambda_coefficient_route(build_operator_model(k, X), g, 0.1),
+        lambda k, X, g: v_lambda_coefficient_route(build_operator_model(k, X), [0.5, g], 0.1),
+        lambda k, X, g: v_lambda_gram_route(k, X, g, 0.1),
+        lambda k, X, g: v1_lambda(build_operator_model(k, X), g, 0.1),
+        lambda k, X, g: v2_lambda(k.spectrum, g, 0.1, len(X)),
+        lambda k, X, g: variance_curve(build_operator_model(k, X), g, [0.1]),
+        lambda k, X, g: concentration_trial(k, len(X), 0.1, 0.75, 3.0, 3, 0, gamma=g),
+    ],
+    ids=[
+        "v_lambda_coefficient_route",
+        "v_lambda_coefficient_route_sequence",
+        "v_lambda_gram_route",
+        "v1_lambda",
+        "v2_lambda",
+        "variance_curve",
+        "concentration_trial",
+    ],
+)
+def test_gamma_outside_unit_interval_rejected(call, bad):
+    k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+    X = np.random.default_rng(14).random(8)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        call(k, X, bad)
 
 
 class TestV1Lambda:
@@ -455,6 +557,8 @@ class TestConcentration:
         k = one_mode_kernel()
         with pytest.raises(ValueError):
             concentration_trial(k, 8, 0.1, 1.0, 0.5, 10, 0)
+        with pytest.raises(ValueError, match="tau"):
+            concentration_trial(k, 8, 0.1, 1.0, float("nan"), 10, 0)
 
     def test_rejects_no_trials(self):
         # with no draw every fraction and median would be the NaN of an empty mean
