@@ -11,70 +11,16 @@ Subpackages:
 * :mod:`rkhslab.solvers` -- ridge regression and minimum-norm interpolation.
 * :mod:`rkhslab.harness` -- seeded Monte Carlo experiments with CSV/JSON
   reports; CLI in :mod:`rkhslab.cli`.
+
+The package's public names are exactly those in the ``__all__`` of these
+modules, re-exported here.
 """
 
-from .fitting import fit_loglog_slope
-from .kernels import (
-    DomainError,
-    DotProductSpectrum,
-    QuadratureError,
-    SpectralKernel,
-    dot_product_kernel_eval,
-    gegenbauer_p,
-    gram_matrix,
-    kernel_eval,
-    multiplicity,
-    ntk_eval,
-    project_dot_product_spectrum,
-)
-from .operators import (
-    ConcentrationReport,
-    IllConditionedGram,
-    NotInPowerSpace,
-    SingularOperator,
-    TruncatedOperatorModel,
-    VarianceCurve,
-    build_operator_model,
-    concentration_trial,
-    gamma_norm_sq,
-    norm_eq_check,
-    v1_lambda,
-    v2_lambda,
-    v_lambda_coefficient_route,
-    v_lambda_gram_route,
-    variance_curve,
-)
-from .solvers import (
-    DualSolution,
-    SampleSet,
-    SingularGram,
-    estimator_l2_coefficients,
-    gamma_error_sq,
-    min_norm_fit,
-    operator_rep_check,
-    predict,
-    ridge_fit,
-    rkhs_norm_sq,
-)
-from .spectra import (
-    DivergentEmbedding,
-    ExponentReport,
-    Spectrum,
-    effective_dimension,
-    embedding_index,
-    embedding_norm,
-    make_power_law_spectrum,
-    theoretical_exponent,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    make_responses,
-    replicate_rng,
-    run_inconsistency_experiment,
-    run_variance_experiment,
-    sample_inputs,
-)
+from .fitting import *
+from .kernels import *
+from .operators import *
+from .solvers import *
+from .spectra import *
+from .harness import *
 
 __version__ = "0.1.0"

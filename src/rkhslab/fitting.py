@@ -18,8 +18,8 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
     if len(xs) < 3:
         raise ValueError("at least 3 points are required")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("all points must be strictly positive")
+    if not np.all((0 < xs) & (xs < np.inf) & (0 < ys) & (ys < np.inf)):  # NaN fails too
+        raise ValueError("all points must be finite and strictly positive")
     lx, ly = np.log(xs), np.log(ys)
     if np.ptp(lx) == 0:
         raise ValueError("xs are all equal; slope is undefined")
@@ -27,10 +27,6 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     slope = float(coef[0])
     resid = ly - A @ coef
-    dof = len(xs) - 2
-    if dof > 0:
-        var = float(resid @ resid) / dof
-        stderr = float(np.sqrt(var / np.sum((lx - lx.mean()) ** 2)))
-    else:
-        stderr = 0.0
+    var = float(resid @ resid) / (len(xs) - 2)
+    stderr = float(np.sqrt(var / np.sum((lx - lx.mean()) ** 2)))
     return slope, stderr

@@ -8,9 +8,13 @@ the target f* = b1 e_1 (zero by default) over a grid of sample sizes,
 measures the gamma-norm error exactly via coefficients, and compares the
 fitted growth exponent of the mean error with the predicted one.
 
-Every random stream is a pure function of (seed, n, replicate), so a fixed
-config reproduces every CSV and ``plot.py`` byte for byte, and
-``summary.json`` apart from its ``runtime_seconds``.
+Both experiments run their replicates through one table ``{n: {r: result}}``
+in which a numerically failed replicate is absent; per-n statistics, failure
+counts and ``errors.csv`` rows are all read from it.  Every random stream is
+a pure function of (seed, n, replicate), so a fixed config reproduces every
+CSV byte for byte, and ``summary.json`` apart from its ``runtime_seconds``.
+Each run also writes ``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which
+plots every CSV in its directory.
 """
 
 from __future__ import annotations
@@ -198,52 +202,51 @@ def _write_csv(path, header: str, rows) -> None:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _write_plot_script(out: Path, files: list[str]) -> None:
-    lines = [
-        "#!/usr/bin/env python3",
-        '"""Plot the CSV outputs of this run (matplotlib)."""',
-        "import csv, sys",
-        "import matplotlib.pyplot as plt",
-        "",
-    ]
-    for name in files:
-        lines += [
-            f"rows = list(csv.DictReader(open({name!r})))",
-            "cols = rows[0].keys()",
-            "x = [float(r[list(cols)[0]]) for r in rows]",
-            "for c in list(cols)[1:]:",
-            "    plt.loglog(x, [abs(float(r[c])) or None for r in rows], label=c)",
-            f"plt.xlabel(list(cols)[0]); plt.legend(); plt.title({name!r})",
-            f"plt.savefig({name!r}.replace('.csv', '.png'), dpi=120); plt.clf()",
-            "",
-        ]
-    (out / "plot.py").write_text("\n".join(lines), encoding="utf-8")
+PLOT_SCRIPT = '''#!/usr/bin/env python3
+"""Plot every CSV in this directory on log-log axes, one PNG per file (matplotlib)."""
+import csv
+from pathlib import Path
+
+import matplotlib.pyplot as plt
+
+for path in sorted(Path(__file__).resolve().parent.glob("*.csv")):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    x_name, *columns = reader.fieldnames
+    x = [float(r[x_name]) for r in rows]
+    for c in columns:
+        plt.loglog(x, [abs(float(r[c])) or float("nan") for r in rows], label=c)
+    plt.xlabel(x_name)
+    plt.legend()
+    plt.title(path.name)
+    plt.savefig(path.with_suffix(".png"), dpi=120)
+    plt.clf()
+'''
 
 
-def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict:
-    """``one(n, r)`` for every (n, replicate) in order, on ``threads`` workers.
+def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict[int, dict[int, object]]:
+    """``one(n, r)`` for every (n, replicate) on ``threads`` workers, as ``{n: {r: result}}``.
 
-    A job whose solve fails numerically is left out: failures are the missing keys.
+    n runs in grid order and r ascending.  A job whose solve fails
+    numerically is left out, so an n's failures are the replicates missing
+    from its table; any other error propagates.
     """
-    results = {}
+    failed = (np.linalg.LinAlgError, NotInPowerSpace)
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        futs = {
-            (n, r): pool.submit(one, n, r) for n in cfg.n_grid for r in range(cfg.replicates)
-        }
-        for key, fut in futs.items():
-            try:
-                results[key] = fut.result()
-            except (np.linalg.LinAlgError, NotInPowerSpace):
-                pass
-    return results
+        futs = {n: {r: pool.submit(one, n, r) for r in range(cfg.replicates)} for n in cfg.n_grid}
+    return {
+        n: {r: f.result() for r, f in row.items() if not isinstance(f.exception(), failed)}
+        for n, row in futs.items()
+    }
 
 
 def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Evaluate the variance functionals over replicates and sample sizes.
 
     Writes per-n curve files with replicate means of V (both routes), V1, V2
-    and the envelope shape, plus ``curve.csv`` for the largest n and a
-    ``summary.json`` with the |V - V1| contraction across n.
+    and the envelope shape, plus ``curve.csv`` for the largest n, a
+    ``summary.json`` with the |V - V1| contraction across n, and ``plot.py``.
     """
     if len(cfg.lambda_grid) == 0:
         raise ConfigError("variance experiment needs a lambda grid")
@@ -261,11 +264,10 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         v_gram = np.array([v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam])
         return curve.v, v_gram, curve.v1, curve.v2
 
-    results = _map_replicates(one, cfg, threads)
+    table = _map_replicates(one, cfg, threads)
     summary = {"per_n": {}, "config": asdict(cfg)}
-    files = []
-    for n in cfg.n_grid:
-        reps = [results[(n, r)] for r in range(cfg.replicates) if (n, r) in results]
+    for n, by_r in table.items():
+        reps = list(by_r.values())
         per_n = {"successes": len(reps), "failures": cfg.replicates - len(reps)}
         summary["per_n"][str(n)] = per_n
         if not reps:
@@ -274,20 +276,18 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         name = f"curve_n{n}.csv"
         envelope = _envelope_shape(lam, cfg.gamma, cfg.beta, cfg.zeta, n)
         _write_csv(out / name, "lambda,v_coeff,v_gram,v1,v2,envelope", zip(lam, *stacks, envelope))
-        files.append(name)
         rel = [
             np.median(np.abs(rep[0] - rep[2]) / np.maximum(rep[2], np.finfo(float).tiny))
             for rep in reps
         ]
         per_n["median_rel_v_minus_v1"] = float(np.median(rel))
     # canonical file for the largest sample size
-    largest = f"curve_n{cfg.n_grid[-1]}.csv"
-    if (out / largest).exists():
-        (out / "curve.csv").write_bytes((out / largest).read_bytes())
-        files.append("curve.csv")
+    if table[cfg.n_grid[-1]]:
+        largest = out / f"curve_n{cfg.n_grid[-1]}.csv"
+        (out / "curve.csv").write_bytes(largest.read_bytes())
     summary["runtime_seconds"] = time.time() - t0
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
-    _write_plot_script(out, files)
+    (out / "plot.py").write_text(PLOT_SCRIPT, encoding="utf-8")
     return summary
 
 
@@ -321,12 +321,9 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
         fit = min_norm_fit(kernel, SampleSet(X, Y))
         return gamma_error_sq(fit, f_coeffs, cfg.gamma)
 
-    errors = _map_replicates(one, cfg, threads)
+    table = _map_replicates(one, cfg, threads)
 
-    per_n = [
-        np.array([errors[(n, r)] for r in range(cfg.replicates) if (n, r) in errors])
-        for n in cfg.n_grid
-    ]
+    per_n = [np.array(list(by_r.values())) for by_r in table.values()]
     means, stderrs, medians, q10, q90 = (list(col) for col in zip(*map(_error_stats, per_n)))
     succ = [len(vals) for vals in per_n]
     fail = [cfg.replicates - len(vals) for vals in per_n]
@@ -354,8 +351,8 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
         runtime_seconds=time.time() - t0,
         config=asdict(cfg),
     )
-    rows = ((n, r, e) for (n, r), e in errors.items())
+    rows = ((n, r, e) for n, by_r in table.items() for r, e in by_r.items())
     _write_csv(out / "errors.csv", "n,replicate,gamma_error_sq", rows)
     (out / "summary.json").write_text(result.to_json(), encoding="utf-8")
-    _write_plot_script(out, ["errors.csv"])
+    (out / "plot.py").write_text(PLOT_SCRIPT, encoding="utf-8")
     return result

@@ -131,7 +131,7 @@ def _harmonics(theta: np.ndarray, out: np.ndarray):
 
 def _features(k: SpectralKernel, x, power: float) -> np.ndarray:
     """Rows sqrt(mu^power) e(x): the feature maps of the kernel with eigenvalues mu^power."""
-    if power < 0:
+    if not power >= 0:  # a negated inclusion, so that NaN fails it too
         raise ValueError(f"power must be nonnegative (got {power})")
     P = k.basis_matrix(x)
     P *= np.sqrt(k.spectrum.mu**power)
@@ -212,7 +212,7 @@ class DotProductSpectrum:
             raise ValueError("sphere dimension must be at least 1")
         if a.ndim != 1 or len(a) == 0:
             raise ValueError("a must be a non-empty 1-d array")
-        if np.any(a < 0):
+        if not np.all(a >= 0):  # a negated inclusion, so that NaN fails it too
             raise ValueError("per-degree eigenvalues must be nonnegative")
 
     @property

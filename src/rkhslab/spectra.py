@@ -11,6 +11,7 @@ error-growth exponents.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import mpmath
@@ -53,8 +54,8 @@ class Spectrum:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(mu) > 0):
             raise ValueError("eigenvalues must be non-increasing")
-        if self.tail_mass < 0:
-            raise ValueError("tail_mass must be nonnegative")
+        if not self.tail_mass >= 0:  # a negated inclusion, so that NaN fails it too
+            raise ValueError(f"tail_mass must be nonnegative (got {self.tail_mass})")
 
     @property
     def size(self) -> int:
@@ -72,10 +73,12 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
     enforces the non-increasing convention without changing the asymptotics.
     The discarded tail is estimated by integral comparison (:func:`_tail_mass`).
     """
-    if beta <= 1:
+    if not beta > 1:  # a negated inclusion, so that NaN fails it too
         raise ValueError(f"beta must exceed 1 (got {beta}); the trace may diverge")
-    if M < 2:
-        raise ValueError(f"M must be at least 2 (got {M})")
+    if not np.isfinite(zeta):
+        raise ValueError(f"zeta must be finite (got {zeta})")
+    if not (isinstance(M, numbers.Integral) and not isinstance(M, bool) and M >= 2):
+        raise ValueError(f"M must be an integer of at least 2 (got {M!r})")
     i = np.arange(2, M + 1, dtype=float)
     raw = (i * np.log(i) ** zeta) ** (-beta)
     mu = np.minimum.accumulate(np.concatenate(([1.0], raw)))

@@ -144,6 +144,25 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0, 2.0, 3.0], [1.0, -1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([1.0, 2.0, 3.0], [1.0, np.nan, 2.0]),
+            ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, np.inf, 2.0]),
+            ([np.nan, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_rejects_non_finite_points(self, xs, ys, capfd):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            fit_loglog_slope(xs, ys)
+        # rejected before LAPACK sees the point, which would print to stderr
+        assert capfd.readouterr().err == ""
+
+    def test_three_points_have_a_stderr(self):
+        _, stderr = fit_loglog_slope([1.0, 2.0, 4.0], [1.0, 3.0, 4.0])
+        assert stderr > 0
+
 
 def small_variance_config(out, seed=0):
     return ExperimentConfig(
@@ -283,6 +302,88 @@ class TestInconsistencyExperiment:
             Y = make_responses(X, None, cfg.sigma, rng)
             fit = min_norm_fit(cfg.build_kernel(), SampleSet(X, Y))
             assert err == pytest.approx(gamma_error_sq(fit, np.zeros(0), cfg.gamma), rel=1e-12)
+
+
+
+def fail_one_replicate(monkeypatch, name, cfg, n, r):
+    """Make ``harness.<name>`` raise LinAlgError on replicate (n, r) alone.
+
+    The job is recognised by its inputs X, drawn as the harness draws them.
+    """
+    import rkhslab.harness as harness
+
+    bad = sample_inputs("unit_interval", n, replicate_rng(cfg.seed, n, r))
+    original = getattr(harness, name)
+
+    def failing(kernel, arg, *rest):
+        X = arg.X if isinstance(arg, SampleSet) else arg
+        if np.array_equal(X, bad):
+            raise np.linalg.LinAlgError("forced")
+        return original(kernel, arg, *rest)
+
+    monkeypatch.setattr(harness, name, failing)
+
+
+class TestPartialFailure:
+    def test_inconsistency_keeps_the_other_replicates(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        clean = small_inconsistency_config(tmp_path / "clean")
+        clean_result = run_inconsistency_experiment(clean)
+        cfg = dataclasses.replace(clean, output_dir=str(tmp_path / "partial"))
+        fail_one_replicate(monkeypatch, "min_norm_fit", cfg, 16, 2)
+        result = run_inconsistency_experiment(cfg)
+        assert result.success_counts == [4, 3, 4]
+        assert result.failure_counts == [0, 1, 0]
+        # the other rows keep their order, their r labels and their values
+        lines = (tmp_path / "partial" / "errors.csv").read_text().splitlines()
+        clean_lines = (tmp_path / "clean" / "errors.csv").read_text().splitlines()
+        assert lines == [l for l in clean_lines if not l.startswith("16,2,")]
+        errors = np.loadtxt(tmp_path / "partial" / "errors.csv", delimiter=",", skiprows=1)
+        survivors = errors[errors[:, 0] == 16, 2]
+        assert result.mean_errors[1] == pytest.approx(np.mean(survivors), rel=1e-12)
+        assert result.mean_errors[::2] == clean_result.mean_errors[::2]
+
+    def test_variance_curve_is_the_mean_of_the_survivors(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from rkhslab import build_operator_model, v_lambda_gram_route, variance_curve
+
+        clean = small_variance_config(tmp_path / "clean")
+        run_variance_experiment(clean)
+        cfg = dataclasses.replace(clean, output_dir=str(tmp_path / "partial"))
+        fail_one_replicate(monkeypatch, "v_lambda_gram_route", cfg, 32, 1)
+        summary = run_variance_experiment(cfg)
+        assert {n: c["failures"] for n, c in summary["per_n"].items()} == {
+            "16": 0,
+            "32": 1,
+            "64": 0,
+        }
+        for n in (16, 64):
+            name = f"curve_n{n}.csv"
+            assert (tmp_path / "partial" / name).read_bytes() == (
+                tmp_path / "clean" / name
+            ).read_bytes()
+        kernel, lam = cfg.build_kernel(), np.array(cfg.lambda_grid)
+        reps = []
+        for r in (0, 2, 3):
+            X = sample_inputs("unit_interval", 32, replicate_rng(cfg.seed, 32, r))
+            curve = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
+            v_gram = [v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam]
+            reps.append(np.column_stack([curve.v, v_gram, curve.v1, curve.v2]))
+        got = np.loadtxt(tmp_path / "partial" / "curve_n32.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(got[:, 1:5], np.mean(reps, axis=0), rtol=1e-12)
+
+
+def test_both_experiments_write_the_fixed_plot_script(tmp_path):
+    from rkhslab.harness import PLOT_SCRIPT
+
+    run_variance_experiment(small_variance_config(tmp_path / "v"))
+    run_inconsistency_experiment(small_inconsistency_config(tmp_path / "i"))
+    for out in ("v", "i"):
+        assert (tmp_path / out / "plot.py").read_bytes() == PLOT_SCRIPT.encode()
+    # matplotlib is not a dependency, so the script is compiled, not run
+    compile(PLOT_SCRIPT, "plot.py", "exec")
 
 
 IMPORT_CHECK = """

@@ -154,6 +154,17 @@ class TestFractionalPower:
             gram_matrix(cosine_kernel, X, power=-0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
+def test_rejects_nan_or_negative_power_and_eigenvalue(cosine_kernel, bad):
+    X = np.array([0.1, 0.2])
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        kernel_eval(cosine_kernel, X, X, power=bad)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        gram_matrix(cosine_kernel, X, power=bad)
+    with pytest.raises(ValueError, match="per-degree eigenvalues must be nonnegative"):
+        DotProductSpectrum(d=2, a=[1.0, bad])
+
+
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
         t = np.linspace(-1, 1, 11)

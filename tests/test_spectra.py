@@ -38,6 +38,28 @@ class TestMakePowerLawSpectrum:
         with pytest.raises(ValueError):
             make_power_law_spectrum(2.0, 0.0, 1)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((np.nan,), r"beta must exceed 1 \(got nan\)"),
+            ((2.0, np.nan, 16), r"zeta must be finite \(got nan\)"),
+            ((2.0, np.inf, 16), r"zeta must be finite \(got inf\)"),
+            ((2.0, 0.0, 10.5), r"M must be an integer of at least 2 \(got 10.5\)"),
+            ((2.0, 0.0, True), r"M must be an integer of at least 2 \(got True\)"),
+        ],
+    )
+    def test_rejects_nan_and_non_integer_parameters(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            make_power_law_spectrum(*args)
+
+    def test_accepts_numpy_integer_truncation(self):
+        assert make_power_law_spectrum(2.0, 0.0, np.int64(4)).size == 4
+
+    @pytest.mark.parametrize("tail", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_tail_mass(self, tail):
+        with pytest.raises(ValueError, match="tail_mass must be nonnegative"):
+            Spectrum(np.array([1.0, 0.25]), beta=2.0, zeta=0.0, tail_mass=tail)
+
     def test_envelope_recorded_and_tail_positive(self):
         s = make_power_law_spectrum(1.5, 0.5, 100)
         assert s.tail_mass > 0
