@@ -61,12 +61,7 @@ def main(argv=None) -> int:
         if args.command == "inconsistency" and cfg.n_grid[-1] >= cfg.truncation:
             # n >= M makes every Gram matrix singular: the fits would only jitter
             raise ConfigError("sample sizes must stay below the truncation")
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    threads = args.threads or os.cpu_count() or 1
-
-    try:
+        threads = args.threads or os.cpu_count() or 1
         if args.command == "variance":
             summary = run_variance_experiment(cfg, threads=threads)
             failures = [c["failures"] for c in summary["per_n"].values()]
@@ -80,10 +75,10 @@ def main(argv=None) -> int:
                 f"theoretical exponent {result.theoretical_exponent:.3f} "
                 f"({result.classification})"
             )
-        return 3 if any(f > MAX_FAILURE_FRACTION * cfg.replicates for f in failures) else 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    return 3 if any(f > MAX_FAILURE_FRACTION * cfg.replicates for f in failures) else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ small-lambda envelope over replicate draws of X for each sample size.  The
 inconsistency experiment fits minimum-norm interpolants to noisy samples of
 the target f* = b1 e_1 (zero by default) over a grid of sample sizes,
 measures the gamma-norm error exactly via coefficients, and compares the
-fitted growth exponent of the mean error with the predicted one.
+fitted growth exponent of the mean error with the predicted one.  An
+:class:`ExperimentConfig` builds its kernel when it is made, so a config whose
+spectrum cannot be built raises :class:`ConfigError` before anything is written.
 
 Both experiments run their replicates through one table ``{n: {r: result}}``
 in which a numerically failed replicate is absent; per-n statistics, failure
@@ -14,7 +16,7 @@ counts and ``errors.csv`` rows are all read from it.  Every random stream is
 a pure function of (seed, n, replicate), so a fixed config reproduces every
 CSV byte for byte, and ``summary.json`` apart from its ``runtime_seconds``.
 Each run also writes ``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which
-plots every CSV in its directory.
+plots what ``summary.json`` in its directory lists.
 """
 
 from __future__ import annotations
@@ -97,22 +99,23 @@ class ExperimentConfig:
             raise ConfigError("output_dir must be a string")
         if not all(_is_int(n) and n >= 1 for n in self.n_grid):
             raise ConfigError("sample sizes must be positive integers")
-        if not all(_is_number(l) and l > 0 for l in self.lambda_grid):
-            raise ConfigError("lambda grid entries must be positive numbers")
-        if self.beta <= 1:
-            raise ConfigError("beta must exceed 1")
+        if not all(_is_number(l) and 0 < l < 0.5 for l in self.lambda_grid):
+            raise ConfigError("lambda grid entries must lie in (0, 1/2)")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
         if not 0 < self.sigma <= MAX_SIGMA:
             raise ConfigError(f"sigma must lie in (0, {MAX_SIGMA:g}]")
-        if self.truncation < 2:
-            raise ConfigError("truncation must be at least 2")
         if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be non-empty and strictly increasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        try:
+            spec = make_power_law_spectrum(self.beta, self.zeta, self.truncation)
+        except (ValueError, ArithmeticError) as err:
+            raise ConfigError(f"cannot build the kernel: {err}") from err
+        object.__setattr__(self, "_kernel", SpectralKernel(spectrum=spec))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -138,15 +141,8 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from err
 
     def build_kernel(self) -> SpectralKernel:
-        try:
-            spec = make_power_law_spectrum(self.beta, self.zeta, self.truncation)
-            return SpectralKernel(spectrum=spec)
-        except (ValueError, ArithmeticError) as err:
-            raise ConfigError(f"cannot build the kernel: {err}") from err
-
-    def f_star_coeffs(self) -> np.ndarray:
-        """L2 coefficients of the target f* = b1 e_1, where e_1 = 1."""
-        return np.array([self.f_star_b1])
+        """The kernel of (beta, zeta, truncation), built once when the config was made."""
+        return self._kernel
 
 
 @dataclass
@@ -203,24 +199,33 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 PLOT_SCRIPT = '''#!/usr/bin/env python3
-"""Plot every CSV in this directory on log-log axes, one PNG per file (matplotlib)."""
+"""Plot the run that summary.json in this directory describes, on log-log axes (matplotlib)."""
 import csv
+import json
 from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-for path in sorted(Path(__file__).resolve().parent.glob("*.csv")):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    x_name, *columns = reader.fieldnames
-    x = [float(r[x_name]) for r in rows]
-    for c in columns:
-        plt.loglog(x, [abs(float(r[c])) or float("nan") for r in rows], label=c)
+here = Path(__file__).resolve().parent
+summary = json.loads((here / "summary.json").read_text())
+figures = []  # (name, x label, x, {label: y})
+if "per_n" in summary:  # variance run: the curve of every n with a successful replicate
+    for n, counts in summary["per_n"].items():
+        if counts["successes"] > 0:
+            with open(here / f"curve_n{n}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            columns = {c: [float(r[c]) for r in rows] for c in rows[0]}
+            figures.append((f"curve_n{n}", "lambda", columns.pop("lambda"), columns))
+else:  # inconsistency run: per-n error statistics; the slope is fitted to the mean
+    stats = ("mean_errors", "median_errors", "q10_errors", "q90_errors")
+    figures.append(("errors", "n", summary["n_values"], {k: summary[k] for k in stats}))
+for name, x_name, x, series in figures:
+    for label, y in series.items():
+        plt.loglog(x, y, label=label)
     plt.xlabel(x_name)
     plt.legend()
-    plt.title(path.name)
-    plt.savefig(path.with_suffix(".png"), dpi=120)
+    plt.title(name)
+    plt.savefig(here / f"{name}.png", dpi=120)
     plt.clf()
 '''
 
@@ -250,8 +255,6 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """
     if len(cfg.lambda_grid) == 0:
         raise ConfigError("variance experiment needs a lambda grid")
-    if any(l >= 0.5 for l in cfg.lambda_grid):
-        raise ConfigError("lambda grid must lie inside (0, 1/2)")
     t0 = time.time()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,14 +315,13 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
     out.mkdir(parents=True, exist_ok=True)
     kernel = cfg.build_kernel()
     pred = theoretical_exponent(cfg.gamma, cfg.beta, embedding_index(kernel))
-    f_coeffs = cfg.f_star_coeffs()
 
     def one(n: int, r: int) -> float:
         rng = replicate_rng(cfg.seed, n, r)
         X = sample_inputs("unit_interval", n, rng)
-        Y = make_responses(X, np.full(n, f_coeffs[0]), cfg.sigma, rng)
+        Y = make_responses(X, np.full(n, cfg.f_star_b1), cfg.sigma, rng)
         fit = min_norm_fit(kernel, SampleSet(X, Y))
-        return gamma_error_sq(fit, f_coeffs, cfg.gamma)
+        return gamma_error_sq(fit, [cfg.f_star_b1], cfg.gamma)
 
     table = _map_replicates(one, cfg, threads)
 

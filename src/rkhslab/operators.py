@@ -214,7 +214,8 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
 def _envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n; the log factor is 1 at lambda >= 1."""
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)
-    return lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
+    with np.errstate(over="ignore"):  # a shape above the float range is inf
+        return lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
 
 
 def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:

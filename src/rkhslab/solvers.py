@@ -164,19 +164,15 @@ def operator_rep_check(
 def gamma_error_sq(d: DualSolution, f_star_coeffs, gamma: float) -> float:
     """Squared gamma-norm error sum mu_i^(-gamma) (c_i - b_i)^2.
 
-    ``f_star_coeffs`` are the L2 coefficients of the target, padded with
-    zeros up to the truncation length.
+    ``f_star_coeffs`` are the leading L2 coefficients b_i of the target, at
+    most as many as the truncation; the others are zero.
     """
-    spec = d.kernel.spectrum
-    b = np.zeros(spec.size)
     f_star = np.asarray(f_star_coeffs, dtype=float)
-    if len(f_star) > spec.size:
-        raise ValueError("target coefficients longer than the truncation")
-    b[: len(f_star)] = f_star
-    # validate the target is in the power space before differencing
-    gamma_norm_sq(b, spec, gamma)
+    # checks the target's length and that it lies in the power space
+    gamma_norm_sq(f_star, d.kernel.spectrum, gamma)
     c = estimator_l2_coefficients(d)
-    return gamma_norm_sq(c - b, spec, gamma)
+    c[: len(f_star)] -= f_star
+    return gamma_norm_sq(c, d.kernel.spectrum, gamma)
 
 
 def rkhs_norm_sq(d: DualSolution) -> float:

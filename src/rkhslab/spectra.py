@@ -80,8 +80,12 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
     if not (isinstance(M, numbers.Integral) and not isinstance(M, bool) and M >= 2):
         raise ValueError(f"M must be an integer of at least 2 (got {M!r})")
     i = np.arange(2, M + 1, dtype=float)
-    raw = (i * np.log(i) ** zeta) ** (-beta)
+    # an infinite term lies above mu_1 = 1, so the running minimum clips it
+    with np.errstate(over="ignore", divide="ignore"):
+        raw = (i * np.log(i) ** zeta) ** (-beta)
     mu = np.minimum.accumulate(np.concatenate(([1.0], raw)))
+    if mu[-1] == 0:
+        raise ValueError(f"mu_M underflows to 0 at beta = {beta}, zeta = {zeta}, M = {M}")
     return Spectrum(mu=mu, beta=beta, zeta=zeta, tail_mass=_tail_mass(beta, zeta, M))
 
 

@@ -1,13 +1,15 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkhslab import (
@@ -88,11 +90,39 @@ class TestExperimentConfig:
             dict(beta=2.0, gamma=0.5, replicates=0),
             dict(beta=2.0, gamma=0.5, f_star_b1=float("inf")),
             dict(beta=2.0, gamma=0.5, lambda_grid=(0.0,)),
+            dict(beta=2.0, gamma=0.5, lambda_grid=(0.5,)),
+            dict(beta=100.0, gamma=0.5),  # mu_M = 4096^-100 underflows
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_underflowing_spectrum_error_names_beta(self):
+        with pytest.raises(ConfigError, match="beta = 100.0"):
+            ExperimentConfig(beta=100.0, gamma=0.5)
+
+    @pytest.mark.parametrize("experiment", ["inconsistency", "variance"])
+    def test_builds_the_spectrum_once_when_made(self, tmp_path, monkeypatch, experiment):
+        import rkhslab.harness as harness
+
+        calls = []
+        original = harness.make_power_law_spectrum
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "make_power_law_spectrum", spy)
+        make_config, run = {
+            "inconsistency": (small_inconsistency_config, run_inconsistency_experiment),
+            "variance": (small_variance_config, run_variance_experiment),
+        }[experiment]
+        cfg = make_config(tmp_path)
+        assert calls == [(2.0, 0.0, 256)]
+        run(cfg)
+        assert calls == [(2.0, 0.0, 256)]
+        assert cfg.build_kernel() is cfg.build_kernel()
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -375,6 +405,74 @@ class TestPartialFailure:
         np.testing.assert_allclose(got[:, 1:5], np.mean(reps, axis=0), rtol=1e-12)
 
 
+class StandInPyplot(types.ModuleType):
+    """``matplotlib.pyplot`` that records its calls instead of drawing."""
+
+    def __init__(self):
+        super().__init__("matplotlib.pyplot")
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+
+@pytest.fixture
+def pyplot(monkeypatch):
+    stand_in = StandInPyplot()
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = stand_in
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", stand_in)
+    return stand_in
+
+
+def run_plot_script(out: Path, pyplot) -> list:
+    """Run ``out/plot.py``; returns the stand-in's (name, args, kwargs) calls."""
+    pyplot.calls.clear()
+    runpy.run_path(str(out / "plot.py"), run_name="__main__")
+    return pyplot.calls
+
+
+class TestPlotScript:
+    def test_inconsistency_plots_the_per_n_error_statistics(self, tmp_path, pyplot):
+        result = run_inconsistency_experiment(small_inconsistency_config(tmp_path))
+        calls = run_plot_script(tmp_path, pyplot)
+        lines = {kw["label"]: args for name, args, kw in calls if name == "loglog"}
+        assert lines == {
+            "mean_errors": (result.n_values, result.mean_errors),
+            "median_errors": (result.n_values, result.median_errors),
+            "q10_errors": (result.n_values, result.q10_errors),
+            "q90_errors": (result.n_values, result.q90_errors),
+        }
+        saved = [args for name, args, _ in calls if name == "savefig"]
+        assert saved == [(tmp_path / "errors.png",)]
+
+    def test_variance_plots_the_curves_of_this_run_only(self, tmp_path, pyplot, monkeypatch):
+        import rkhslab.harness as harness
+
+        cfg = small_variance_config(tmp_path)
+        run_variance_experiment(cfg)
+        (tmp_path / "curve_n8.csv").write_text("lambda,v_coeff\n0.1,1\n")  # another n_grid
+        original = harness.v_lambda_gram_route
+
+        def fails_at_32(kernel, X, *rest):
+            if len(X) == 32:
+                raise np.linalg.LinAlgError("forced")
+            return original(kernel, X, *rest)
+
+        # every replicate at n = 32 fails, so curve_n32.csv is the stale one of the first run
+        monkeypatch.setattr(harness, "v_lambda_gram_route", fails_at_32)
+        run_variance_experiment(cfg)
+        calls = run_plot_script(tmp_path, pyplot)
+        saved = sorted(args[0].name for name, args, _ in calls if name == "savefig")
+        assert saved == ["curve_n16.png", "curve_n64.png"]
+        curve = np.loadtxt(tmp_path / "curve_n64.csv", delimiter=",", skiprows=1)
+        drawn = [(kw["label"], args) for name, args, kw in calls if name == "loglog"][-5:]
+        assert [label for label, _ in drawn] == ["v_coeff", "v_gram", "v1", "v2", "envelope"]
+        for j, (_, (x, y)) in enumerate(drawn, start=1):
+            assert x == curve[:, 0].tolist() and y == curve[:, j].tolist()
+
+
 def test_both_experiments_write_the_fixed_plot_script(tmp_path):
     from rkhslab.harness import PLOT_SCRIPT
 
@@ -382,7 +480,7 @@ def test_both_experiments_write_the_fixed_plot_script(tmp_path):
     run_inconsistency_experiment(small_inconsistency_config(tmp_path / "i"))
     for out in ("v", "i"):
         assert (tmp_path / out / "plot.py").read_bytes() == PLOT_SCRIPT.encode()
-    # matplotlib is not a dependency, so the script is compiled, not run
+    # matplotlib is not a dependency: TestPlotScript runs the script under a stand-in
     compile(PLOT_SCRIPT, "plot.py", "exec")
 
 
@@ -524,6 +622,7 @@ class TestCli:
             ("inconsistency", {"n_grid": [8.5, 16]}),
             ("variance", {"n_grid": [8.5, 16], "lambda_grid": [1e-2]}),
             ("inconsistency", {"truncation": 32, "n_grid": [8, 16, 32]}),
+            ("variance", {"beta": 200.0, "lambda_grid": [1e-2]}),  # 128^-200 underflows
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, extra):
@@ -577,6 +676,14 @@ FIELD_EDITS = st.lists(
     ),
     max_size=3,
 )
+SMALL_CONFIG = {
+    "beta": 2.0,
+    "gamma": 0.5,
+    "truncation": 4,
+    "n_grid": [1, 2],
+    "replicates": 1,
+    "lambda_grid": [0.1],
+}
 UNKNOWN_KEYS = st.dictionaries(
     st.text(max_size=4).filter(lambda k: k not in FIELD_VALUES), JSON_VALUES, max_size=1
 )
@@ -589,6 +696,17 @@ UNKNOWN_KEYS = st.dictionaries(
     edits=FIELD_EDITS,
     unknown=UNKNOWN_KEYS,
 )
+# mu_M = 2^-1075 underflows to 0
+@example("variance", dict(SMALL_CONFIG, beta=1075.0, truncation=2), [], {})
+# mu_2 = (2 (log 2)^971)^-2 overflows; the running minimum makes it 1
+@example("inconsistency", dict(SMALL_CONFIG, truncation=2, n_grid=[1]), [("zeta", [971.0])], {})
+# log(1e6)^266 overflows in the envelope shape
+@example(
+    "variance",
+    dict(SMALL_CONFIG, beta=1.125, lambda_grid=[1e-6]),
+    [("zeta", [-266.0])],
+    {},
+)
 def test_cli_fuzzed_config_never_raises(command, config, edits, unknown):
     for key, value in edits:  # None drops the key, [v] sets it to v
         if value is None:
@@ -596,7 +714,8 @@ def test_cli_fuzzed_config_never_raises(command, config, edits, unknown):
         else:
             config[key] = value[0]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
+        path, run = Path(tmp) / "cfg.json", Path(tmp) / "run"
         path.write_text(json.dumps({**config, **unknown}))
-        code = cli_main([command, "--config", str(path), "--out", str(Path(tmp) / "run")])
-    assert code in (0, 2, 3)
+        code = cli_main([command, "--config", str(path), "--out", str(run)])
+        assert code in (0, 2, 3)
+        assert code != 2 or not run.exists()  # an invalid config writes nothing

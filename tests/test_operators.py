@@ -412,6 +412,12 @@ class TestV2Lambda:
         assert slope == pytest.approx(0.5, abs=0.05)
 
 
+def test_envelope_shape_above_the_float_range_is_inf():
+    # log(1e6)^266 exceeds the float range; no RuntimeWarning (warnings are errors)
+    shape = operators._envelope_shape(np.array([1e-6, 1e-1]), 0.5, 1.125, -266.0, 1)
+    assert shape[0] == np.inf and np.isfinite(shape[1])
+
+
 class TestNormEq:
     def test_single_mode(self):
         k = two_mode_kernel()

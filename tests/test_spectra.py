@@ -46,11 +46,18 @@ class TestMakePowerLawSpectrum:
             ((2.0, np.inf, 16), r"zeta must be finite \(got inf\)"),
             ((2.0, 0.0, 10.5), r"M must be an integer of at least 2 \(got 10.5\)"),
             ((2.0, 0.0, True), r"M must be an integer of at least 2 \(got True\)"),
+            ((100.0, 0.0, 4096), r"mu_M underflows to 0 at beta = 100.0, zeta = 0.0, M = 4096"),
+            ((2.0, 971.0, 4096), r"mu_M underflows to 0 at beta = 2.0, zeta = 971.0, M = 4096"),
         ],
     )
     def test_rejects_nan_and_non_integer_parameters(self, args, message):
         with pytest.raises(ValueError, match=message):
             make_power_law_spectrum(*args)
+
+    def test_overflowing_term_is_clipped_to_mu_1(self):
+        # (2 (log 2)^971)^-2 exceeds the float range; no RuntimeWarning (warnings are errors)
+        s = make_power_law_spectrum(2.0, 971.0, 3)
+        assert s.mu[:2].tolist() == [1.0, 1.0] and 0 < s.mu[2] < 1
 
     def test_accepts_numpy_integer_truncation(self):
         assert make_power_law_spectrum(2.0, 0.0, np.int64(4)).size == 4
