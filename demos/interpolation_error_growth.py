@@ -24,18 +24,19 @@ with tempfile.TemporaryDirectory() as out:
         seed=0,
         output_dir=out,
     )
-    result = run_inconsistency_experiment(cfg)
+    # the returned dict is what the run wrote to summary.json
+    summary = run_inconsistency_experiment(cfg)
 
     print("n      mean error    stderr")
-    for n, m, se in zip(result.n_values, result.mean_errors, result.stderr_errors):
+    for n, m, se in zip(summary["n_values"], summary["mean_errors"], summary["stderr_errors"]):
         print(f"{n:5d}  {m:.4e}  {se:.2e}")
 
-    print(f"\nfitted slope: {result.fitted_slope:.2f}")
+    print(f"\nfitted slope: {summary['fitted_slope']:.2f}")
     print(
-        f"theoretical exponent: {result.theoretical_exponent:.2f} "
-        f"({result.classification})"
+        f"theoretical exponent: {summary['theoretical_exponent']:.2f} "
+        f"({summary['classification']})"
     )
-    print(f"runtime: {result.runtime_seconds:.1f}s; outputs written under {out}")
+    print(f"runtime: {summary['runtime_seconds']:.1f}s; outputs written under {out}")
 
 # The same experiment is available from the command line:
 #   rkhslab inconsistency --config config.json --out results/

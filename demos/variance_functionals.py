@@ -13,6 +13,7 @@ import numpy as np
 from rkhslab import (
     SpectralKernel,
     build_operator_model,
+    envelope_shape,
     make_power_law_spectrum,
     v_lambda_gram_route,
     variance_curve,
@@ -25,16 +26,15 @@ X = rng.random(n)
 model = build_operator_model(kernel, X)
 
 grid = np.geomspace(1e-4, 0.4, 12)
-curve = variance_curve(model, gamma, grid)
+V, V1, V2 = variance_curve(model, gamma, grid)
 
 print("lambda        V (coeff)     V (gram)      V1            V2")
-for lam, v, v1, v2 in zip(grid, curve.v, curve.v1, curve.v2):
+for lam, v, v1, v2 in zip(grid, V, V1, V2):
     v_gram = v_lambda_gram_route(kernel, X, gamma, lam)
     print(f"{lam:.3e}   {v:.6e}  {v_gram:.6e}  {v1:.6e}  {v2:.6e}")
 
 # V is non-increasing in lambda, and for small lambda it tracks the
 # envelope lambda^-(gamma + 1/beta) / n up to constants.
-assert np.all(np.diff(curve.v) <= 1e-10)
-env = curve.envelope(beta, 0.0, n)
-ratio = curve.v / env
+assert np.all(np.diff(V) <= 1e-10)
+ratio = V / envelope_shape(grid, gamma, beta, 0.0, n)
 print(f"\nV / envelope stays within [{ratio.min():.3f}, {ratio.max():.3f}]")

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 too many replicate failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -53,11 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_json(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, output_dir=args.out)
+        cfg = ExperimentConfig.from_json(args.config, seed=args.seed, output_dir=args.out)
         if args.command == "inconsistency" and cfg.n_grid[-1] >= cfg.truncation:
             # n >= M makes every Gram matrix singular: the fits would only jitter
             raise ConfigError("sample sizes must stay below the truncation")
@@ -67,13 +62,13 @@ def main(argv=None) -> int:
             failures = [c["failures"] for c in summary["per_n"].values()]
             print(f"variance experiment done; {sum(failures)} failed replicates")
         else:
-            result = run_inconsistency_experiment(cfg, threads=threads)
-            failures = result.failure_counts
-            slope = "n/a" if result.fitted_slope is None else f"{result.fitted_slope:.3f}"
+            summary = run_inconsistency_experiment(cfg, threads=threads)
+            failures = summary["failure_counts"]
+            slope = "n/a" if summary["fitted_slope"] is None else f"{summary['fitted_slope']:.3f}"
             print(
                 f"inconsistency experiment done; fitted slope {slope}, "
-                f"theoretical exponent {result.theoretical_exponent:.3f} "
-                f"({result.classification})"
+                f"theoretical exponent {summary['theoretical_exponent']:.3f} "
+                f"({summary['classification']})"
             )
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

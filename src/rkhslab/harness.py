@@ -15,8 +15,9 @@ in which a numerically failed replicate is absent; per-n statistics, failure
 counts and ``errors.csv`` rows are all read from it.  Every random stream is
 a pure function of (seed, n, replicate), so a fixed config reproduces every
 CSV byte for byte, and ``summary.json`` apart from its ``runtime_seconds``.
-Each run also writes ``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which
-plots what ``summary.json`` in its directory lists.
+Each experiment returns the dict that its ``summary.json`` holds.  Each run
+also writes ``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which plots
+what ``summary.json`` in its directory lists.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .fitting import fit_loglog_slope
 from .kernels import SpectralKernel
 from .operators import (
     NotInPowerSpace,
-    _envelope_shape,
     build_operator_model,
+    envelope_shape,
     v_lambda_gram_route,
     variance_curve,
 )
@@ -46,7 +47,6 @@ from .spectra import embedding_index, make_power_law_spectrum, theoretical_expon
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "ExperimentResult",
     "sample_inputs",
     "make_responses",
     "replicate_rng",
@@ -118,7 +118,8 @@ class ExperimentConfig:
         object.__setattr__(self, "_kernel", SpectralKernel(spectrum=spec))
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, **overrides) -> "ExperimentConfig":
+        """The config in the JSON object at ``path``, with the ``overrides`` that are not None."""
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -126,6 +127,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -143,29 +145,6 @@ class ExperimentConfig:
     def build_kernel(self) -> SpectralKernel:
         """The kernel of (beta, zeta, truncation), built once when the config was made."""
         return self._kernel
-
-
-@dataclass
-class ExperimentResult:
-    """Aggregated errors, fitted exponent, and the theoretical comparison."""
-
-    n_values: list[int]
-    mean_errors: list[float]
-    stderr_errors: list[float]
-    median_errors: list[float]
-    q10_errors: list[float]
-    q90_errors: list[float]
-    success_counts: list[int]
-    failure_counts: list[int]
-    fitted_slope: float | None
-    slope_stderr: float | None
-    theoretical_exponent: float
-    classification: str
-    runtime_seconds: float
-    config: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def replicate_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
@@ -230,6 +209,15 @@ for name, x_name, x, series in figures:
 '''
 
 
+def _write_summary(out: Path, summary: dict, t0: float) -> dict:
+    """Write ``summary`` plus ``runtime_seconds`` and ``plot.py``; return what the file holds."""
+    summary["runtime_seconds"] = time.time() - t0
+    text = json.dumps(summary, sort_keys=True, indent=2)
+    (out / "summary.json").write_text(text, encoding="utf-8")
+    (out / "plot.py").write_text(PLOT_SCRIPT, encoding="utf-8")
+    return json.loads(text)
+
+
 def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict[int, dict[int, object]]:
     """``one(n, r)`` for every (n, replicate) on ``threads`` workers, as ``{n: {r: result}}``.
 
@@ -250,8 +238,8 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Evaluate the variance functionals over replicates and sample sizes.
 
     Writes per-n curve files with replicate means of V (both routes), V1, V2
-    and the envelope shape, plus ``curve.csv`` for the largest n, a
-    ``summary.json`` with the |V - V1| contraction across n, and ``plot.py``.
+    and the envelope shape, a ``summary.json`` with the |V - V1| contraction
+    across n, and ``plot.py``.
     """
     if len(cfg.lambda_grid) == 0:
         raise ConfigError("variance experiment needs a lambda grid")
@@ -261,37 +249,27 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     kernel = cfg.build_kernel()
     lam = np.asarray(cfg.lambda_grid, dtype=float)
 
-    def one(n: int, r: int):
+    def one(n: int, r: int) -> np.ndarray:
         X = sample_inputs("unit_interval", n, replicate_rng(cfg.seed, n, r))
-        curve = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
-        v_gram = np.array([v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam])
-        return curve.v, v_gram, curve.v1, curve.v2
+        v, v1, v2 = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
+        v_gram = [v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam]
+        return np.column_stack([v, v_gram, v1, v2])
 
     table = _map_replicates(one, cfg, threads)
     summary = {"per_n": {}, "config": asdict(cfg)}
     for n, by_r in table.items():
-        reps = list(by_r.values())
-        per_n = {"successes": len(reps), "failures": cfg.replicates - len(reps)}
+        per_n = {"successes": len(by_r), "failures": cfg.replicates - len(by_r)}
         summary["per_n"][str(n)] = per_n
-        if not reps:
+        if not by_r:
             continue
-        stacks = [np.mean([rep[k] for rep in reps], axis=0) for k in range(4)]
-        name = f"curve_n{n}.csv"
-        envelope = _envelope_shape(lam, cfg.gamma, cfg.beta, cfg.zeta, n)
-        _write_csv(out / name, "lambda,v_coeff,v_gram,v1,v2,envelope", zip(lam, *stacks, envelope))
-        rel = [
-            np.median(np.abs(rep[0] - rep[2]) / np.maximum(rep[2], np.finfo(float).tiny))
-            for rep in reps
-        ]
+        reps = np.array(list(by_r.values()))  # replicate x lambda x column
+        envelope = envelope_shape(lam, cfg.gamma, cfg.beta, cfg.zeta, n)
+        rows = zip(lam, *reps.mean(axis=0).T, envelope)
+        _write_csv(out / f"curve_n{n}.csv", "lambda,v_coeff,v_gram,v1,v2,envelope", rows)
+        v, v1 = reps[..., 0], reps[..., 2]
+        rel = np.median(np.abs(v - v1) / np.maximum(v1, np.finfo(float).tiny), axis=1)
         per_n["median_rel_v_minus_v1"] = float(np.median(rel))
-    # canonical file for the largest sample size
-    if table[cfg.n_grid[-1]]:
-        largest = out / f"curve_n{cfg.n_grid[-1]}.csv"
-        (out / "curve.csv").write_bytes(largest.read_bytes())
-    summary["runtime_seconds"] = time.time() - t0
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
-    (out / "plot.py").write_text(PLOT_SCRIPT, encoding="utf-8")
-    return summary
+    return _write_summary(out, summary, t0)
 
 
 def _error_stats(vals: np.ndarray) -> list[float]:
@@ -303,7 +281,7 @@ def _error_stats(vals: np.ndarray) -> list[float]:
     return [float(x) for x in (np.mean(vals), stderr, np.median(vals), *quantiles)]
 
 
-def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Minimum-norm interpolation error growth across sample sizes.
 
     Per (n, replicate): draw X and noisy Y, fit the interpolant, record the
@@ -337,24 +315,21 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> Exp
     if len(cfg.n_grid) >= 3 and not too_many_failures and all(0 < m < np.inf for m in means):
         slope, stderr = fit_loglog_slope(np.array(cfg.n_grid, float), np.array(means))
 
-    result = ExperimentResult(
-        n_values=list(cfg.n_grid),
-        mean_errors=means,
-        stderr_errors=stderrs,
-        median_errors=medians,
-        q10_errors=q10,
-        q90_errors=q90,
-        success_counts=succ,
-        failure_counts=fail,
-        fitted_slope=slope,
-        slope_stderr=stderr,
-        theoretical_exponent=pred.exponent,
-        classification=pred.classification,
-        runtime_seconds=time.time() - t0,
-        config=asdict(cfg),
-    )
+    summary = {
+        "n_values": list(cfg.n_grid),
+        "mean_errors": means,
+        "stderr_errors": stderrs,
+        "median_errors": medians,
+        "q10_errors": q10,
+        "q90_errors": q90,
+        "success_counts": succ,
+        "failure_counts": fail,
+        "fitted_slope": slope,
+        "slope_stderr": stderr,
+        "theoretical_exponent": pred.exponent,
+        "classification": pred.classification,
+        "config": asdict(cfg),
+    }
     rows = ((n, r, e) for n, by_r in table.items() for r, e in by_r.items())
     _write_csv(out / "errors.csv", "n,replicate,gamma_error_sq", rows)
-    (out / "summary.json").write_text(result.to_json(), encoding="utf-8")
-    (out / "plot.py").write_text(PLOT_SCRIPT, encoding="utf-8")
-    return result
+    return _write_summary(out, summary, t0)

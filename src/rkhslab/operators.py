@@ -14,8 +14,10 @@ of psi through the QR triangle of psi^T, computed once per model and shared
 by every lambda >= 0, and from one eigendecomposition of the n x n Gram
 matrix with the fractional-power kernel.  Its population approximations V1
 (empirical points, population covariance) and V2 (fully averaged closed
-form) have diagonal closed forms.  :func:`variance_curve` evaluates V by the
-coefficient route; :func:`v_lambda_gram_route` is the independent check.
+form) have diagonal closed forms.  :func:`variance_curve` returns V by the
+coefficient route, V1 and V2 along a lambda grid; :func:`v_lambda_gram_route`
+is the independent check.  :func:`envelope_shape` is the shape of the
+predicted small-lambda lower bound on V.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "SingularOperator",
     "IllConditionedGram",
     "TruncatedOperatorModel",
-    "VarianceCurve",
     "ConcentrationReport",
     "build_operator_model",
     "gamma_norm_sq",
@@ -43,6 +44,7 @@ __all__ = [
     "v2_lambda",
     "norm_eq_check",
     "variance_curve",
+    "envelope_shape",
     "concentration_trial",
 ]
 
@@ -132,8 +134,12 @@ def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
     c = np.asarray(c, dtype=float)
     if len(c) > s.size:
         raise ValueError("coefficient vector longer than the spectrum")
-    with np.errstate(over="ignore"):
-        terms = s.mu[: len(c)] ** (-gamma) * c**2
+    w = s.mu[: len(c)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = w ** (-gamma) * c**2
+        # an overflowing weight times a square that underflows to 0 is NaN: scale c first
+        bad = ~np.isfinite(terms)
+        terms[bad] = (np.abs(c[bad]) * w[bad] ** (-gamma / 2.0)) ** 2
     if not np.all(np.isfinite(terms)):
         raise NotInPowerSpace("nonzero coefficients where the weight overflows")
     return float(np.sum(terms))
@@ -211,11 +217,14 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
 
 
-def _envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
+def envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n; the log factor is 1 at lambda >= 1."""
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)
-    with np.errstate(over="ignore"):  # a shape above the float range is inf
-        return lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # a shape above the float range is inf
+        shape = lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
+        # one factor overflowing while the other underflows gives inf * 0: take logs instead
+        logs = np.exp(-(gamma + 1.0 / beta) * np.log(lam) - zeta * np.log(log_factor)) / n
+    return np.where(np.isfinite(shape), shape, logs)
 
 
 def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
@@ -231,30 +240,15 @@ def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class VarianceCurve:
-    """V, V1, V2 along a lambda grid for one sample draw."""
-
-    gamma: float
-    lambda_grid: np.ndarray
-    v: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def envelope(self, beta: float, zeta: float, n: int) -> np.ndarray:
-        """Shape of the predicted small-lambda lower bound (up to a constant)."""
-        return _envelope_shape(self.lambda_grid, self.gamma, beta, zeta, n)
-
-
-def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid) -> VarianceCurve:
-    """Evaluate V (coefficient route), V1, V2 on a grid of positive regularization levels."""
+def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid):
+    """Arrays V (coefficient route), V1, V2 on a grid of positive regularization levels."""
     lam = np.asarray(lambda_grid, dtype=float)
     if lam.size == 0 or not np.all(lam > 0):
         raise ValueError("lambda grid must be non-empty and positive")
     v = np.array([v_lambda_coefficient_route(m, gamma, l) for l in lam])
     v1 = np.array([v1_lambda(m, gamma, l) for l in lam])
     v2 = np.array([v2_lambda(m.kernel.spectrum, gamma, l, m.n) for l in lam])
-    return VarianceCurve(gamma=gamma, lambda_grid=lam, v=v, v1=v1, v2=v2)
+    return v, v1, v2
 
 
 @dataclass(frozen=True)

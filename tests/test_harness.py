@@ -216,9 +216,6 @@ class TestVarianceExperiment:
             assert lines[0] == "lambda,v_coeff,v_gram,v1,v2,envelope"
             v = np.array([float(l.split(",")[1]) for l in lines[1:]])
             assert np.all(np.diff(v) <= 1e-10)
-        assert (tmp_path / "curve.csv").read_bytes() == (
-            tmp_path / f"curve_n{cfg.n_grid[-1]}.csv"
-        ).read_bytes()
         assert (tmp_path / "plot.py").exists()
         assert set(summary["per_n"]) == {"16", "32", "64"}
 
@@ -232,14 +229,14 @@ class TestVarianceExperiment:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_variance_experiment(small_variance_config(out1, seed=7))
         run_variance_experiment(small_variance_config(out2, seed=7))
-        for name in ("curve.csv", "curve_n16.csv", "curve_n64.csv"):
+        for name in ("curve_n16.csv", "curve_n64.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_threads_match_serial(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_variance_experiment(small_variance_config(out1, seed=3), threads=1)
         run_variance_experiment(small_variance_config(out2, seed=3), threads=4)
-        assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
+        assert (out1 / "curve_n64.csv").read_bytes() == (out2 / "curve_n64.csv").read_bytes()
 
     def test_rejects_missing_or_large_lambda(self, tmp_path):
         import dataclasses
@@ -267,10 +264,10 @@ class TestInconsistencyExperiment:
     def test_outputs(self, tmp_path):
         cfg = small_inconsistency_config(tmp_path)
         result = run_inconsistency_experiment(cfg)
-        assert result.success_counts == [4, 4, 4]
-        assert result.fitted_slope is not None
-        assert result.theoretical_exponent == pytest.approx(1.0)
-        assert result.classification == "inconsistent"
+        assert result["success_counts"] == [4, 4, 4]
+        assert result["fitted_slope"] is not None
+        assert result["theoretical_exponent"] == pytest.approx(1.0)
+        assert result["classification"] == "inconsistent"
         lines = (tmp_path / "errors.csv").read_text().splitlines()
         assert lines[0] == "n,replicate,gamma_error_sq"
         assert len(lines) == 1 + 3 * 4
@@ -288,17 +285,17 @@ class TestInconsistencyExperiment:
 
         cfg = dataclasses.replace(small_inconsistency_config(tmp_path), n_grid=(8, 16))
         result = run_inconsistency_experiment(cfg)
-        assert result.fitted_slope is None
+        assert result["fitted_slope"] is None
 
     def test_single_mode_target(self, tmp_path):
         import dataclasses
 
         zero = small_inconsistency_config(tmp_path / "zero")
         mode = dataclasses.replace(zero, output_dir=str(tmp_path / "mode"), f_star_b1=1.7)
-        zero_errors = run_inconsistency_experiment(zero).mean_errors
+        zero_errors = run_inconsistency_experiment(zero)["mean_errors"]
         result = run_inconsistency_experiment(mode)
-        assert all(np.isfinite(result.mean_errors))
-        assert result.mean_errors != zero_errors
+        assert all(np.isfinite(result["mean_errors"]))
+        assert result["mean_errors"] != zero_errors
 
     def test_single_mode_builds_two_basis_matrices_per_fit(self, tmp_path, monkeypatch):
         import dataclasses
@@ -315,9 +312,22 @@ class TestInconsistencyExperiment:
         monkeypatch.setattr(SpectralKernel, "basis_matrix", counting)
         cfg = dataclasses.replace(small_inconsistency_config(tmp_path), f_star_b1=1.7)
         result = run_inconsistency_experiment(cfg)
-        assert result.success_counts == [4, 4, 4]
+        assert result["success_counts"] == [4, 4, 4]
         # one Gram matrix for the fit, one basis matrix for its L2 coefficients
         assert sorted(calls) == sorted(2 * [n for n in cfg.n_grid for _ in range(4)])
+
+    def test_zero_coefficient_under_an_overflowing_weight(self, tmp_path):
+        # mu_64 = 64^-172 is subnormal, so mu_64^-0.999 overflows where the fit's
+        # squared coefficient underflows to 0
+        cfg = ExperimentConfig(
+            beta=172.0,
+            gamma=0.999,
+            truncation=64,
+            n_grid=(4, 8, 16),
+            replicates=3,
+            output_dir=str(tmp_path),
+        )
+        assert run_inconsistency_experiment(cfg)["success_counts"] == [3, 3, 3]
 
     def test_zero_amplitude_mode_matches_zero_target(self, tmp_path):
         # the default f_star_b1 = 0 is f* = 0: each error is the fit's own gamma-norm
@@ -333,6 +343,31 @@ class TestInconsistencyExperiment:
             fit = min_norm_fit(cfg.build_kernel(), SampleSet(X, Y))
             assert err == pytest.approx(gamma_error_sq(fit, np.zeros(0), cfg.gamma), rel=1e-12)
 
+
+
+def output_files(out: Path) -> dict:
+    """Every file in ``out`` by name, ``summary.json`` without its run time and output directory."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    lines = files["summary.json"].splitlines()
+    drop = (b'"runtime_seconds"', b'"output_dir"')
+    files["summary.json"] = [l for l in lines if not any(key in l for key in drop)]
+    return files
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (run_variance_experiment, small_variance_config),
+        (run_inconsistency_experiment, small_inconsistency_config),
+    ],
+    ids=["variance", "inconsistency"],
+)
+def test_every_output_file_is_independent_of_the_thread_count(tmp_path, run, config):
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        summary = run(config(out, seed=9), threads=threads)
+        assert summary == json.loads((out / "summary.json").read_text())
+    assert output_files(tmp_path / "threads1") == output_files(tmp_path / "threads2")
 
 
 def fail_one_replicate(monkeypatch, name, cfg, n, r):
@@ -363,16 +398,16 @@ class TestPartialFailure:
         cfg = dataclasses.replace(clean, output_dir=str(tmp_path / "partial"))
         fail_one_replicate(monkeypatch, "min_norm_fit", cfg, 16, 2)
         result = run_inconsistency_experiment(cfg)
-        assert result.success_counts == [4, 3, 4]
-        assert result.failure_counts == [0, 1, 0]
+        assert result["success_counts"] == [4, 3, 4]
+        assert result["failure_counts"] == [0, 1, 0]
         # the other rows keep their order, their r labels and their values
         lines = (tmp_path / "partial" / "errors.csv").read_text().splitlines()
         clean_lines = (tmp_path / "clean" / "errors.csv").read_text().splitlines()
         assert lines == [l for l in clean_lines if not l.startswith("16,2,")]
         errors = np.loadtxt(tmp_path / "partial" / "errors.csv", delimiter=",", skiprows=1)
         survivors = errors[errors[:, 0] == 16, 2]
-        assert result.mean_errors[1] == pytest.approx(np.mean(survivors), rel=1e-12)
-        assert result.mean_errors[::2] == clean_result.mean_errors[::2]
+        assert result["mean_errors"][1] == pytest.approx(np.mean(survivors), rel=1e-12)
+        assert result["mean_errors"][::2] == clean_result["mean_errors"][::2]
 
     def test_variance_curve_is_the_mean_of_the_survivors(self, tmp_path, monkeypatch):
         import dataclasses
@@ -398,9 +433,9 @@ class TestPartialFailure:
         reps = []
         for r in (0, 2, 3):
             X = sample_inputs("unit_interval", 32, replicate_rng(cfg.seed, 32, r))
-            curve = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
+            v, v1, v2 = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
             v_gram = [v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam]
-            reps.append(np.column_stack([curve.v, v_gram, curve.v1, curve.v2]))
+            reps.append(np.column_stack([v, v_gram, v1, v2]))
         got = np.loadtxt(tmp_path / "partial" / "curve_n32.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(got[:, 1:5], np.mean(reps, axis=0), rtol=1e-12)
 
@@ -439,10 +474,10 @@ class TestPlotScript:
         calls = run_plot_script(tmp_path, pyplot)
         lines = {kw["label"]: args for name, args, kw in calls if name == "loglog"}
         assert lines == {
-            "mean_errors": (result.n_values, result.mean_errors),
-            "median_errors": (result.n_values, result.median_errors),
-            "q10_errors": (result.n_values, result.q10_errors),
-            "q90_errors": (result.n_values, result.q90_errors),
+            "mean_errors": (result["n_values"], result["mean_errors"]),
+            "median_errors": (result["n_values"], result["median_errors"]),
+            "q10_errors": (result["n_values"], result["q10_errors"]),
+            "q90_errors": (result["n_values"], result["q90_errors"]),
         }
         saved = [args for name, args, _ in calls if name == "savefig"]
         assert saved == [(tmp_path / "errors.png",)]
@@ -544,7 +579,7 @@ class TestCli:
             ["variance", "--config", str(path), "--out", str(tmp_path / "run")]
         )
         assert code == 0
-        assert (tmp_path / "run" / "curve.csv").exists()
+        assert (tmp_path / "run" / "curve_n32.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -579,6 +614,25 @@ class TestCli:
         a = (tmp_path / "r1" / "errors.csv").read_bytes()
         b = (tmp_path / "r2" / "errors.csv").read_bytes()
         assert a != b
+
+    def test_overrides_build_the_spectrum_once(self, tmp_path, monkeypatch):
+        import rkhslab.harness as harness
+
+        calls = []
+        original = harness.make_power_law_spectrum
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "make_power_law_spectrum", spy)
+        path = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        code = cli_main(["inconsistency", "--config", str(path), "--seed", "4", "--out", str(out)])
+        assert code == 0
+        assert calls == [(2.0, 0.0, 128)]
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert (config["seed"], config["output_dir"]) == (4, str(out))
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         import rkhslab.harness as harness

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -16,6 +17,7 @@ from rkhslab import (
     concentration_trial,
     effective_dimension,
     embedding_norm,
+    envelope_shape,
     gamma_norm_sq,
     kernel_eval,
     make_power_law_spectrum,
@@ -85,6 +87,11 @@ class TestGammaNormSq:
         s = Spectrum(np.array([1.0]), beta=2.0, zeta=0.0)
         with pytest.raises(ValueError):
             gamma_norm_sq([1.0], s, 1.5)
+
+    def test_zero_coefficient_under_an_overflowing_weight(self):
+        # mu_2^-0.99 overflows; the zero coefficient there adds 0 and no RuntimeWarning
+        s = Spectrum(np.array([1.0, 1e-320]), beta=2.0, zeta=0.0)
+        assert gamma_norm_sq([1.0, 0.0], s, 0.99) == 1.0
 
     def test_overflowing_weight(self):
         s = Spectrum(np.array([1.0, 1e-310]), beta=2.0, zeta=0.0)
@@ -265,8 +272,8 @@ class TestVCoefficientRoute:
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
         m = build_operator_model(k, np.random.default_rng(16).random(12))
-        curve = variance_curve(m, 0.5, [1e-3, 1e-1])
-        assert np.all(np.isfinite(curve.v))
+        v, _, _ = variance_curve(m, 0.5, [1e-3, 1e-1])
+        assert np.all(np.isfinite(v))
 
 
 class TestVGramRoute:
@@ -414,8 +421,14 @@ class TestV2Lambda:
 
 def test_envelope_shape_above_the_float_range_is_inf():
     # log(1e6)^266 exceeds the float range; no RuntimeWarning (warnings are errors)
-    shape = operators._envelope_shape(np.array([1e-6, 1e-1]), 0.5, 1.125, -266.0, 1)
+    shape = envelope_shape(np.array([1e-6, 1e-1]), 0.5, 1.125, -266.0, 1)
     assert shape[0] == np.inf and np.isfinite(shape[1])
+    # 1e-300^-(0.5 + 1/1.1) overflows while log(1e300)^-200 underflows: the shape is finite
+    lam, gamma, beta, zeta, n = 1e-300, 0.5, 1.1, 200.0, 128
+    exact = mpmath.mpf(lam) ** (-gamma - 1 / beta) * mpmath.log(1 / mpmath.mpf(lam)) ** -zeta / n
+    assert envelope_shape(np.array([lam]), gamma, beta, zeta, n)[0] == pytest.approx(
+        float(exact), rel=1e-10
+    )
 
 
 class TestNormEq:
@@ -436,14 +449,12 @@ class TestVarianceCurve:
     def test_non_increasing(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 256))
         m = build_operator_model(k, np.random.default_rng(8).random(16))
-        curve = variance_curve(m, 0.0, np.geomspace(1e-4, 0.4, 12))
-        assert np.all(np.diff(curve.v) <= 1e-10)
+        v, _, _ = variance_curve(m, 0.0, np.geomspace(1e-4, 0.4, 12))
+        assert np.all(np.diff(v) <= 1e-10)
 
     def test_envelope_finite_for_lambda_at_least_one(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
-        m = build_operator_model(k, np.random.default_rng(13).random(8))
         lam = np.array([0.1, 2.0])
-        env = variance_curve(m, 0.5, lam).envelope(2.0, 0.5, 8)
+        env = envelope_shape(lam, 0.5, 2.0, 0.5, 8)
         assert np.all(np.isfinite(env))
         # the log factor is dropped at lambda >= 1, as in the harness's curve files
         expected = lam ** (-0.5 - 0.5) * np.array([np.log(10.0) ** -0.5, 1.0]) / 8
