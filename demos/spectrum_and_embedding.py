@@ -20,7 +20,7 @@ from rkhslab import (
 # finite; zeta tilts the profile by a log factor.
 spec = make_power_law_spectrum(beta=2.0, zeta=0.0, M=50_000)
 print(f"first eigenvalues: {spec.mu[:5]}")
-print(f"trace: {spec.trace():.4f}, tail mass beyond M: {spec.tail_mass:.2e}")
+print(f"trace: {spec.trace():.4f}, tail mass beyond M: {spec.tail():.2e}")
 
 # The effective dimension N(lambda) = sum mu_i / (mu_i + lambda) grows like
 # lambda^(-1/beta) as lambda -> 0.

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 too many replicate failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .harness import (
@@ -56,13 +55,12 @@ def main(argv=None) -> int:
         if args.command == "inconsistency" and cfg.n_grid[-1] >= cfg.truncation:
             # n >= M makes every Gram matrix singular: the fits would only jitter
             raise ConfigError("sample sizes must stay below the truncation")
-        threads = args.threads or os.cpu_count() or 1
         if args.command == "variance":
-            summary = run_variance_experiment(cfg, threads=threads)
+            summary = run_variance_experiment(cfg, threads=args.threads)
             failures = [c["failures"] for c in summary["per_n"].values()]
             print(f"variance experiment done; {sum(failures)} failed replicates")
         else:
-            summary = run_inconsistency_experiment(cfg, threads=threads)
+            summary = run_inconsistency_experiment(cfg, threads=args.threads)
             failures = summary["failure_counts"]
             slope = "n/a" if summary["fitted_slope"] is None else f"{summary['fitted_slope']:.3f}"
             print(

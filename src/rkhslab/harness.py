@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -221,12 +222,14 @@ def _write_summary(out: Path, summary: dict, t0: float) -> dict:
 def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict[int, dict[int, object]]:
     """``one(n, r)`` for every (n, replicate) on ``threads`` workers, as ``{n: {r: result}}``.
 
-    n runs in grid order and r ascending.  A job whose solve fails
-    numerically is left out, so an n's failures are the replicates missing
-    from its table; any other error propagates.
+    n runs in grid order and r ascending, on every CPU at ``threads = 0``.  A
+    job whose solve fails numerically is left out, so an n's failures are the
+    replicates missing from its table; any other error propagates.
     """
+    if threads < 0:
+        raise ValueError(f"threads must be 0 (the CPU count) or positive (got {threads})")
     failed = (np.linalg.LinAlgError, NotInPowerSpace)
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads or os.cpu_count() or 1) as pool:
         futs = {n: {r: pool.submit(one, n, r) for r in range(cfg.replicates)} for n in cfg.n_grid}
     return {
         n: {r: f.result() for r, f in row.items() if not isinstance(f.exception(), failed)}

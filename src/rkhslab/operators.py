@@ -67,22 +67,17 @@ class SingularOperator(np.linalg.LinAlgError):
 class IllConditionedGram(np.linalg.LinAlgError):
     """Regularized Gram matrix too ill-conditioned to trust the solve."""
 
-    def __init__(self, cond: float):
-        super().__init__(f"condition number estimate {cond:.3e}")
-        self.cond = cond
-
 
 @dataclass(frozen=True)
 class TruncatedOperatorModel:
-    """Sample X with its coefficient map psi and, on first use, its SVD factors U, s, W."""
+    """Coefficient map psi of a sample and, on first use, its SVD factors U, s, W."""
 
     kernel: SpectralKernel
-    X: np.ndarray
     psi: np.ndarray  # n x M, rows are psi(x_k)
 
     @property
     def n(self) -> int:
-        return len(self.X)
+        return len(self.psi)
 
     @property
     def mu(self) -> np.ndarray:
@@ -117,7 +112,7 @@ def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
     X = np.atleast_1d(np.asarray(X, dtype=float))
     if len(X) < 1:
         raise ValueError("need at least one sample point")
-    return TruncatedOperatorModel(kernel=kernel, X=X, psi=_features(kernel, X, 1.0))
+    return TruncatedOperatorModel(kernel=kernel, psi=_features(kernel, X, 1.0))
 
 
 def _check_gamma(gamma) -> np.ndarray:
@@ -189,12 +184,15 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     _check_gamma(gamma)
     X = np.atleast_1d(np.asarray(X, dtype=float))
     n = len(X)
+    if n < 1:
+        raise ValueError("need at least one sample point")
     A = gram_matrix(kernel, X)
     A /= n
     A.flat[:: n + 1] += lam
     w, Q = np.linalg.eigh(A)
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
-        raise IllConditionedGram(np.inf if w[0] <= 0 else w[-1] / w[0])
+    cond = np.inf if w[0] <= 0 else w[-1] / w[0]
+    if cond > COND_LIMIT:
+        raise IllConditionedGram(f"condition number estimate {cond:.3e}")
     K2 = gram_matrix(kernel, X, power=2.0 - gamma)
     return float(np.sum(np.sum(Q * (K2 @ Q), axis=0) / w**2)) / n**2
 
@@ -219,6 +217,9 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
 
 def envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n; the log factor is 1 at lambda >= 1."""
+    if not (np.all(lam > 0) and n >= 1):
+        raise ValueError(f"lambda must be positive and n at least 1 (got {lam}, {n})")
+    _check_gamma(gamma)
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a shape above the float range is inf
         shape = lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
@@ -255,12 +256,6 @@ def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid):
 class ConcentrationReport:
     """Empirical check of the operator-norm and |V1 - V2| concentration bounds."""
 
-    n: int
-    lam: float
-    alpha: float
-    gamma: float
-    tau: float
-    trials: int
     m_alpha: float
     b_nu_lambda: float
     operator_norm_bound: float
@@ -313,6 +308,8 @@ def concentration_trial(
     the empirical covariance against its high-probability bound and (b)
     |V1 - V2| against sqrt(tau) M_alpha^2 / (sqrt(2) n^{3/2} lam^{gamma+alpha}).
     """
+    if not n >= 1:
+        raise ValueError("need at least one sample point")
     if not tau >= 1:
         raise ValueError(f"tau must be at least 1 (got {tau})")
     if trials < 1:
@@ -336,12 +333,6 @@ def concentration_trial(
         op_stats[i] = _operator_norm_statistic(m, lam)
         v_stats[i] = abs(v1_lambda(m, gamma, lam) - v2)
     return ConcentrationReport(
-        n=n,
-        lam=lam,
-        alpha=alpha,
-        gamma=gamma,
-        tau=tau,
-        trials=trials,
         m_alpha=m_alpha,
         b_nu_lambda=b_nu,
         operator_norm_bound=float(op_bound),

@@ -43,10 +43,6 @@ RETRY_JITTER = 1e-12
 class SingularGram(np.linalg.LinAlgError):
     """Gram matrix not factorizable at lambda = 0 (near-duplicate points)."""
 
-    def __init__(self, cond: float):
-        super().__init__(f"singular Gram matrix, condition estimate {cond:.3e}")
-        self.cond = cond
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -72,17 +68,12 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Dual coefficients of a fit, with the regularization actually used."""
+    """Dual coefficients of a fit; ``jitter_used`` > 0 flags a jittered fit, not an interpolant."""
 
     kernel: SpectralKernel
     X: np.ndarray
     alpha: np.ndarray
-    lambda_used: float
     jitter_used: float = 0.0
-
-    @property
-    def interpolating(self) -> bool:
-        return self.lambda_used == 0.0 and self.jitter_used == 0.0
 
 
 def ridge_fit(
@@ -91,9 +82,9 @@ def ridge_fit(
     """Solve (K(X, X) + n lambda I + jitter I) alpha = Y.
 
     At lambda = jitter = 0 a failed Cholesky factorization raises
-    :class:`SingularGram` with a condition-number diagnostic; the caller may
-    retry with jitter (see :func:`min_norm_fit`).  A regularized system that
-    Cholesky rejects is solved with eigenvalues clipped at eps times the largest.
+    :class:`SingularGram`; the caller may retry with jitter (see
+    :func:`min_norm_fit`).  A regularized system that Cholesky rejects is
+    solved with eigenvalues clipped at eps times the largest.
     """
     # a negated inclusion, so that NaN fails it too
     if not (lam >= 0 and jitter >= 0):
@@ -106,25 +97,23 @@ def ridge_fit(
         # factors in place, with no copy of the n x n matrix
         alpha = cho_solve(cho_factor(A.T, lower=True, overwrite_a=True), s.Y)
     except np.linalg.LinAlgError:
-        # the factorization wrote over the diagonal and upper triangle of A
-        # only; the eigensolvers below read the lower triangle
-        np.fill_diagonal(A, diag)
         if lam == 0.0 and jitter == 0.0:
-            w = np.linalg.eigvalsh(A)
-            cond = np.inf if w[0] <= 0 else w[-1] / w[0]
-            raise SingularGram(cond) from None
+            raise SingularGram("singular Gram matrix at lambda = 0") from None
+        # the factorization wrote over the diagonal and upper triangle of A
+        # only; eigh reads the lower triangle
+        np.fill_diagonal(A, diag)
         w, Q = eigh(A)
         w = np.maximum(w, np.max(w) * np.finfo(float).eps)
         alpha = Q @ ((Q.T @ s.Y) / w)
-    return DualSolution(kernel=kernel, X=s.X, alpha=alpha, lambda_used=lam, jitter_used=jitter)
+    return DualSolution(kernel=kernel, X=s.X, alpha=alpha, jitter_used=jitter)
 
 
 def min_norm_fit(kernel: SpectralKernel, s: SampleSet) -> DualSolution:
     """Minimum-norm interpolant, with one jittered retry on a singular Gram matrix.
 
-    The retry never raises :class:`SingularGram`: with jitter > 0,
-    :func:`ridge_fit` falls back to its clipped eigendecomposition.  Its
-    solution is not an interpolant, and ``jitter_used`` flags it.
+    The retry's jitter, RETRY_JITTER times the largest Gram eigenvalue, makes
+    :func:`ridge_fit` fall back to its clipped eigendecomposition, so it never
+    raises :class:`SingularGram`; ``jitter_used`` flags its non-interpolant.
     """
     try:
         return ridge_fit(kernel, s, 0.0)

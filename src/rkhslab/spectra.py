@@ -38,12 +38,11 @@ class DivergentEmbedding(ArithmeticError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Truncated eigenvalues mu_1 >= mu_2 >= ... > 0; ``tail_mass`` estimates sum_{i > M} mu_i."""
+    """Truncated eigenvalues mu_1 >= mu_2 >= ... > 0 with their declared decay law (beta, zeta)."""
 
     mu: np.ndarray
     beta: float
     zeta: float
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -54,16 +53,20 @@ class Spectrum:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(mu) > 0):
             raise ValueError("eigenvalues must be non-increasing")
-        if not self.tail_mass >= 0:  # a negated inclusion, so that NaN fails it too
-            raise ValueError(f"tail_mass must be nonnegative (got {self.tail_mass})")
 
     @property
     def size(self) -> int:
         return len(self.mu)
 
+    def tail(self, p: float = 1.0) -> float:
+        """Estimate of sum_{i > M} mu_i^p under the declared law, finite for beta p > 1."""
+        if not self.beta * p > 1:  # a negated inclusion, so that NaN fails it too
+            raise ValueError(f"the tail needs beta p > 1 (got beta = {self.beta}, p = {p})")
+        return _tail_integral(self.beta * p, self.zeta, self.size)
+
     def trace(self) -> float:
         """Total mass including the estimated tail (finite for bounded kernels)."""
-        return float(np.sum(self.mu) + self.tail_mass)
+        return float(np.sum(self.mu) + self.tail())
 
 
 def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> Spectrum:
@@ -71,7 +74,7 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
 
     For zeta < 0 the raw profile is not monotone at small i; a running minimum
     enforces the non-increasing convention without changing the asymptotics.
-    The discarded tail is estimated by integral comparison (:func:`_tail_mass`).
+    The discarded tail is estimated from the law by :meth:`Spectrum.tail`.
     """
     if not beta > 1:  # a negated inclusion, so that NaN fails it too
         raise ValueError(f"beta must exceed 1 (got {beta}); the trace may diverge")
@@ -86,10 +89,10 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
     mu = np.minimum.accumulate(np.concatenate(([1.0], raw)))
     if mu[-1] == 0:
         raise ValueError(f"mu_M underflows to 0 at beta = {beta}, zeta = {zeta}, M = {M}")
-    return Spectrum(mu=mu, beta=beta, zeta=zeta, tail_mass=_tail_mass(beta, zeta, M))
+    return Spectrum(mu=mu, beta=beta, zeta=zeta)
 
 
-def _tail_mass(beta: float, zeta: float, M: int) -> float:
+def _tail_integral(beta: float, zeta: float, M: int) -> float:
     """Tail integral int_M^inf (x (ln x)^zeta)^(-beta) dx in closed form.
 
     The substitution u = (beta - 1) ln x turns it into the upper incomplete

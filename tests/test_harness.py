@@ -363,11 +363,60 @@ def output_files(out: Path) -> dict:
     ids=["variance", "inconsistency"],
 )
 def test_every_output_file_is_independent_of_the_thread_count(tmp_path, run, config):
-    for threads in (1, 2):
+    # 0 selects the CPU count
+    for threads in (1, 2, 0):
         out = tmp_path / f"threads{threads}"
         summary = run(config(out, seed=9), threads=threads)
         assert summary == json.loads((out / "summary.json").read_text())
     assert output_files(tmp_path / "threads1") == output_files(tmp_path / "threads2")
+    assert output_files(tmp_path / "threads1") == output_files(tmp_path / "threads0")
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (run_variance_experiment, small_variance_config),
+        (run_inconsistency_experiment, small_inconsistency_config),
+    ],
+    ids=["variance", "inconsistency"],
+)
+def test_negative_thread_count_is_rejected(tmp_path, run, config):
+    with pytest.raises(ValueError, match=r"threads must be 0 \(the CPU count\) or positive"):
+        run(config(tmp_path, seed=9), threads=-3)
+
+
+def test_variance_warm_up_makes_the_planned_layer_calls(tmp_path, monkeypatch):
+    # the call-count gate of a traced benchmark run, on the variance warm-up config
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import spans
+    import workloads
+
+    import rkhslab
+
+    cfg = workloads.WARM_UP[1]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # called through the package, where the tracer wraps it
+        rkhslab.run_variance_experiment(
+            ExperimentConfig(
+                beta=cfg["beta"],
+                gamma=cfg["gamma"],
+                truncation=cfg["truncation"],
+                n_grid=cfg["n_grid"],
+                replicates=cfg["replicates"],
+                lambda_grid=cfg["lambda_grid"],
+                seed=cfg["seed"],
+                output_dir=str(tmp_path),
+            ),
+            threads=cfg["threads"],
+        )
+    finally:
+        tracer.uninstall()
+    layers = spans.layer_metrics(tracer.spans)
+    expected = workloads.plan_calls([cfg])
+    for name in spans.LAYER_FUNCTIONS:
+        assert layers[f"{name}.calls"] == expected.get(name, 0), name
 
 
 def fail_one_replicate(monkeypatch, name, cfg, n, r):

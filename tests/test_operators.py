@@ -287,6 +287,10 @@ class TestVGramRoute:
         with pytest.raises(IllConditionedGram):
             v_lambda_gram_route(k, [0.3, 0.3], 0.0, 0.0)
 
+    def test_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="need at least one sample point"):
+            v_lambda_gram_route(one_mode_kernel(), [], 0.5, 0.1)
+
 
 @pytest.mark.parametrize(
     "route",
@@ -313,6 +317,7 @@ def test_both_routes_reject_negative_lambda(route):
         lambda k, X, lam: effective_dimension(k.spectrum, lam),
         lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam),
         lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam),
+        lambda k, X, lam: envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, len(X)),
     ],
     ids=[
         "v_lambda_coefficient_route",
@@ -322,6 +327,7 @@ def test_both_routes_reject_negative_lambda(route):
         "effective_dimension",
         "v_lambda_gram_route",
         "ridge_fit",
+        "envelope_shape",
     ],
 )
 def test_nan_lambda_rejected(call):
@@ -342,6 +348,7 @@ def test_nan_lambda_rejected(call):
         lambda k, X, g: v2_lambda(k.spectrum, g, 0.1, len(X)),
         lambda k, X, g: variance_curve(build_operator_model(k, X), g, [0.1]),
         lambda k, X, g: concentration_trial(k, len(X), 0.1, 0.75, 3.0, 3, 0, gamma=g),
+        lambda k, X, g: envelope_shape(np.array([0.1]), g, 2.0, 0.0, len(X)),
     ],
     ids=[
         "v_lambda_coefficient_route",
@@ -351,6 +358,7 @@ def test_nan_lambda_rejected(call):
         "v2_lambda",
         "variance_curve",
         "concentration_trial",
+        "envelope_shape",
     ],
 )
 def test_gamma_outside_unit_interval_rejected(call, bad):
@@ -417,6 +425,14 @@ class TestV2Lambda:
         vals = np.array([v2_lambda(s, 0.0, l, 1) for l in grid])
         slope, _ = fit_loglog_slope(1.0 / grid, vals)
         assert slope == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "lam, n", [(0.0, 8), (-0.1, 8), (0.1, 0)], ids=["lambda_zero", "lambda_negative", "n_zero"]
+)
+def test_envelope_shape_rejects_nonpositive_lambda_or_n(lam, n):
+    with pytest.raises(ValueError, match="lambda must be positive and n at least 1"):
+        envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, n)
 
 
 def test_envelope_shape_above_the_float_range_is_inf():
@@ -582,3 +598,7 @@ class TestConcentration:
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
         with pytest.raises(ValueError, match="trials"):
             concentration_trial(k, n=16, lam=0.1, alpha=0.75, tau=3.0, trials=0, rng_seed=0)
+
+    def test_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="need at least one sample point"):
+            concentration_trial(one_mode_kernel(), 0, 0.1, 0.75, 3.0, 2, 0)

@@ -97,23 +97,13 @@ class TestRidgeFit:
         expected = cho_solve(cho_factor(G, lower=True), s.Y)
         assert np.array_equal(ridge_fit(cosine_kernel, s, lam).alpha, expected)
 
-    def test_singular_gram_condition_reads_the_unfactored_matrix(self, monkeypatch):
+    def test_singular_gram_raises_without_an_eigensolve(self, monkeypatch):
         # 48 points and 16 modes: the Gram matrix has rank 16 and Cholesky fails
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 16))
         s = SampleSet(np.random.default_rng(3).random(48), np.ones(48))
-        G = gram_matrix(k, s.X)
-        seen = []
-        real = np.linalg.eigvalsh
-
-        def spy(A, *args, **kw):
-            seen.append(np.array(A))
-            return real(A, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
         with pytest.raises(SingularGram):
             ridge_fit(k, s, 0.0)
-        # the eigensolver reads the lower triangle, diagonal included
-        assert np.array_equal(np.tril(seen[0]), np.tril(G))
 
     def test_eigh_fallback_after_a_failed_factorization(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 16))
@@ -147,7 +137,7 @@ class TestMinNormFit:
     def test_interpolating_flag(self, cosine_kernel):
         rng = np.random.default_rng(3)
         d = min_norm_fit(cosine_kernel, SampleSet(rng.random(8), rng.standard_normal(8)))
-        assert d.interpolating
+        assert d.jitter_used == 0
 
     def test_singular_fit_retries_once(self, cosine_kernel, monkeypatch):
         import rkhslab.solvers as solvers
@@ -168,8 +158,7 @@ class TestMinNormFit:
         G = gram_matrix(cosine_kernel, s.X)
         jitter = 1e-12 * np.linalg.eigvalsh(G)[-1]
         assert jitters == [0.0, jitter]
-        assert d.jitter_used == jitter
-        assert not d.interpolating
+        assert d.jitter_used == jitter > 0
         # the clipped eigendecomposition of G + jitter I, as ridge_fit writes it
         G.flat[:: s.n + 1] += jitter
         w, Q = eigh(G)
@@ -181,14 +170,14 @@ class TestPredictAndCoefficients:
     def test_zero_alpha(self, cosine_kernel):
         from rkhslab.solvers import DualSolution
 
-        d = DualSolution(cosine_kernel, np.array([0.2]), np.array([0.0]), 0.0)
+        d = DualSolution(cosine_kernel, np.array([0.2]), np.array([0.0]))
         assert predict(d, 0.7) == 0.0
         assert np.all(estimator_l2_coefficients(d) == 0.0)
 
     def test_single_mode_coefficient(self):
         from rkhslab.solvers import DualSolution
 
-        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([4.0 / 3.0]), 0.5)
+        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([4.0 / 3.0]))
         assert estimator_l2_coefficients(d)[0] == pytest.approx(4.0 / 3.0)
 
     def test_coefficients_reproduce_predictions(self, cosine_kernel):
@@ -251,13 +240,13 @@ class TestGammaErrorSq:
     def test_exact_recovery(self):
         from rkhslab.solvers import DualSolution
 
-        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([4.0 / 3.0]), 0.5)
+        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([4.0 / 3.0]))
         assert gamma_error_sq(d, [4.0 / 3.0], 0.5) == pytest.approx(0.0)
 
     def test_one_mode_example(self):
         from rkhslab.solvers import DualSolution
 
-        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([4.0 / 3.0]), 0.5)
+        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([4.0 / 3.0]))
         assert gamma_error_sq(d, [0.0], 0.5) == pytest.approx(16.0 / 9.0)
 
     def test_gamma_zero_is_l2_error(self, cosine_kernel):
@@ -273,14 +262,14 @@ class TestGammaErrorSq:
         k = SpectralKernel(Spectrum(np.array([1.0, 1e-310]), beta=2.0, zeta=0.0))
         from rkhslab.solvers import DualSolution
 
-        d = DualSolution(k, np.array([0.3]), np.array([0.0]), 0.5)
+        d = DualSolution(k, np.array([0.3]), np.array([0.0]))
         with pytest.raises(NotInPowerSpace):
             gamma_error_sq(d, [0.0, 1.0], 1.0)
 
     def test_too_long_target(self):
         from rkhslab.solvers import DualSolution
 
-        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([0.0]), 0.5)
+        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([0.0]))
         with pytest.raises(ValueError):
             gamma_error_sq(d, [1.0, 2.0], 0.0)
 

@@ -13,7 +13,7 @@ from rkhslab import (
     make_power_law_spectrum,
     theoretical_exponent,
 )
-from rkhslab.spectra import _tail_mass
+from rkhslab.spectra import _tail_integral
 
 
 class TestMakePowerLawSpectrum:
@@ -62,14 +62,9 @@ class TestMakePowerLawSpectrum:
     def test_accepts_numpy_integer_truncation(self):
         assert make_power_law_spectrum(2.0, 0.0, np.int64(4)).size == 4
 
-    @pytest.mark.parametrize("tail", [np.nan, -1.0])
-    def test_rejects_nan_or_negative_tail_mass(self, tail):
-        with pytest.raises(ValueError, match="tail_mass must be nonnegative"):
-            Spectrum(np.array([1.0, 0.25]), beta=2.0, zeta=0.0, tail_mass=tail)
-
     def test_envelope_recorded_and_tail_positive(self):
         s = make_power_law_spectrum(1.5, 0.5, 100)
-        assert s.tail_mass > 0
+        assert s.tail() > 0
         i = np.arange(2, 101, dtype=float)
         raw = (i * np.log(i) ** 0.5) ** -1.5
         ratios = s.mu[1:] / raw
@@ -96,7 +91,7 @@ class TestTailMass:
     def test_matches_100_digit_closed_form(self, beta, zeta):
         for M in (2, 3, 10, 100, 4096, 10**5, 10**7):
             want = float(closed_form_tail(beta, zeta, M))
-            assert _tail_mass(beta, zeta, M) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert _tail_integral(beta, zeta, M) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("M", [4096, 10**5])
     def test_slow_tail_with_negative_zeta(self, M):
@@ -105,12 +100,12 @@ class TestTailMass:
         s = make_power_law_spectrum(1.01, -2.0, M)
         want = float(closed_form_tail(1.01, -2.0, M))
         assert want == pytest.approx(2.23e6, rel=2e-3)
-        assert s.tail_mass == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert s.tail() == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_zeta_zero_is_the_power_tail(self):
         for beta, M in ((1.5, 10), (2.0, 4096), (10.0, 10**7)):
             want = M ** (1.0 - beta) / (beta - 1.0)
-            assert _tail_mass(beta, 0.0, M) == pytest.approx(want, rel=1e-14)
+            assert _tail_integral(beta, 0.0, M) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("beta,zeta", [(1.5, -1.0), (2.0, 1.0), (3.0, 0.5)])
     def test_closed_form_is_the_tail_integral(self, beta, zeta):
@@ -119,7 +114,26 @@ class TestTailMass:
             integral = mpmath.quad(
                 lambda x: (x * mpmath.log(x) ** zeta) ** (-beta), [M, 10 * M, 1000 * M, mpmath.inf]
             )
-        assert _tail_mass(beta, zeta, M) == pytest.approx(float(integral), rel=1e-10)
+        assert _tail_integral(beta, zeta, M) == pytest.approx(float(integral), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("zeta", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_spectrum_tail_follows_the_declared_law(self, beta, zeta, p):
+        M, N = 4096, 10**6
+        s = make_power_law_spectrum(beta, zeta, M)
+        assert s.tail(p) == _tail_integral(beta * p, zeta, M)
+        # the direct sum over M < i <= N, and the closed form beyond N, where it is exact to
+        # far below the tolerance
+        i = np.arange(M + 1, N + 1, dtype=float)
+        direct = np.sum((i * np.log(i) ** zeta) ** (-beta * p)) + _tail_integral(beta * p, zeta, N)
+        assert s.tail(p) == pytest.approx(direct, rel=1e-3)
+
+    @pytest.mark.parametrize("p", [0.5, 0.25, -1.0, np.nan])
+    def test_spectrum_tail_needs_beta_p_above_one(self, p):
+        s = make_power_law_spectrum(2.0, 0.0, 16)
+        with pytest.raises(ValueError, match="beta p > 1"):
+            s.tail(p)
 
 
 class TestEffectiveDimension:
