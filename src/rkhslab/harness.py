@@ -15,9 +15,9 @@ in which a numerically failed replicate is absent; per-n statistics, failure
 counts and ``errors.csv`` rows are all read from it.  Every random stream is
 a pure function of (seed, n, replicate), so a fixed config reproduces every
 CSV byte for byte, and ``summary.json`` apart from its ``runtime_seconds``.
-Each experiment returns the dict that its ``summary.json`` holds.  Each run
-also writes ``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which plots
-what ``summary.json`` in its directory lists.
+Each experiment returns the dict that its ``summary.json`` holds, and writes
+``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which plots what it lists.
+A run makes its output directory only after all of its replicates have run.
 """
 
 from __future__ import annotations
@@ -248,7 +248,6 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         raise ConfigError("variance experiment needs a lambda grid")
     t0 = time.time()
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     kernel = cfg.build_kernel()
     lam = np.asarray(cfg.lambda_grid, dtype=float)
 
@@ -259,6 +258,7 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         return np.column_stack([v, v_gram, v1, v2])
 
     table = _map_replicates(one, cfg, threads)
+    out.mkdir(parents=True, exist_ok=True)
     summary = {"per_n": {}, "config": asdict(cfg)}
     for n, by_r in table.items():
         per_n = {"successes": len(by_r), "failures": cfg.replicates - len(by_r)}
@@ -293,7 +293,6 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> dic
     """
     t0 = time.time()
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     kernel = cfg.build_kernel()
     pred = theoretical_exponent(cfg.gamma, cfg.beta, embedding_index(kernel))
 
@@ -305,6 +304,7 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> dic
         return gamma_error_sq(fit, [cfg.f_star_b1], cfg.gamma)
 
     table = _map_replicates(one, cfg, threads)
+    out.mkdir(parents=True, exist_ok=True)
 
     per_n = [np.array(list(by_r.values())) for by_r in table.values()]
     means, stderrs, medians, q10, q90 = (list(col) for col in zip(*map(_error_stats, per_n)))

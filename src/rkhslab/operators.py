@@ -209,7 +209,7 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
     if not lam > 0:
         raise ValueError(f"lambda must be positive (got {lam})")
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"n must be at least 1 (got {n})")
     _check_gamma(gamma)
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n

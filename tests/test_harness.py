@@ -47,6 +47,10 @@ class TestSampleInputs:
         with pytest.raises(ValueError):
             sample_inputs("torus", 5, replicate_rng(0, 5, 0))
 
+    def test_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sample_inputs("unit_interval", 0, replicate_rng(0, 0, 0))
+
 
 class TestMakeResponses:
     def test_tiny_noise(self):
@@ -92,6 +96,8 @@ class TestExperimentConfig:
             dict(beta=2.0, gamma=0.5, lambda_grid=(0.0,)),
             dict(beta=2.0, gamma=0.5, lambda_grid=(0.5,)),
             dict(beta=100.0, gamma=0.5),  # mu_M = 4096^-100 underflows
+            dict(beta=2.0, gamma=0.5, output_dir=3),
+            dict(beta=2.0, gamma=0.5, seed=-1),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -146,6 +152,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
+    def test_from_json_array(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[2.0, 0.5]")
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            ExperimentConfig.from_json(path)
+
 
 class TestFitLoglogSlope:
     def test_exact_square(self):
@@ -188,6 +200,10 @@ class TestFitLoglogSlope:
             fit_loglog_slope(xs, ys)
         # rejected before LAPACK sees the point, which would print to stderr
         assert capfd.readouterr().err == ""
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            fit_loglog_slope([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
 
     def test_three_points_have_a_stderr(self):
         _, stderr = fit_loglog_slope([1.0, 2.0, 4.0], [1.0, 3.0, 4.0])
@@ -381,8 +397,10 @@ def test_every_output_file_is_independent_of_the_thread_count(tmp_path, run, con
     ids=["variance", "inconsistency"],
 )
 def test_negative_thread_count_is_rejected(tmp_path, run, config):
+    cfg = config(tmp_path / "run", seed=9)
     with pytest.raises(ValueError, match=r"threads must be 0 \(the CPU count\) or positive"):
-        run(config(tmp_path, seed=9), threads=-3)
+        run(cfg, threads=-3)
+    assert not Path(cfg.output_dir).exists()
 
 
 def test_variance_warm_up_makes_the_planned_layer_calls(tmp_path, monkeypatch):
@@ -643,6 +661,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_threads_leave_the_csvs_unchanged(self, tmp_path):
+        path = self.write_config(tmp_path)
+        runs = {tmp_path / "default": [], tmp_path / "threads2": ["--threads", "2"]}
+        for out, extra in runs.items():
+            args = ["inconsistency", "--config", str(path), "--out", str(out)]
+            assert cli_main(args + extra) == 0
+        csvs = [{p.name: p.read_bytes() for p in out.glob("*.csv")} for out in runs]
+        assert csvs[0] == csvs[1] and "errors.csv" in csvs[0]
+
     def test_seed_override_changes_outputs(self, tmp_path):
         path = self.write_config(tmp_path)
         for seed, name in ((1, "r1"), (2, "r2")):
@@ -726,6 +753,7 @@ class TestCli:
             ("variance", {"n_grid": [8.5, 16], "lambda_grid": [1e-2]}),
             ("inconsistency", {"truncation": 32, "n_grid": [8, 16, 32]}),
             ("variance", {"beta": 200.0, "lambda_grid": [1e-2]}),  # 128^-200 underflows
+            ("inconsistency", {"n_grid": "abc"}),
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, extra):

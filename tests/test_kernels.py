@@ -10,6 +10,7 @@ from scipy.integrate import fixed_quad
 from rkhslab import (
     DomainError,
     DotProductSpectrum,
+    QuadratureError,
     SpectralKernel,
     Spectrum,
     dot_product_kernel_eval,
@@ -247,6 +248,11 @@ class TestMultiplicity:
             expected = math.comb(k + d, d) + (math.comb(k - 1 + d, d) if k >= 1 else 0)
             assert total == expected
 
+    @pytest.mark.parametrize("d, k", [(0, 1), (1, -1)])
+    def test_rejects_bad_dimension_or_degree(self, d, k):
+        with pytest.raises(ValueError, match="need d >= 1 and k >= 0"):
+            multiplicity(d, k)
+
 
 class TestDotProductKernel:
     def test_degree_zero_constant(self):
@@ -262,6 +268,14 @@ class TestDotProductKernel:
         s = DotProductSpectrum(2, np.array([0.5, 0.2, 0.1]))
         expected = 0.5 * 1 + 0.2 * 3 + 0.1 * 5
         assert dot_product_kernel_eval(s, 1.0) == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "d, a, message",
+        [(0, [1.0], "sphere dimension must be at least 1"), (2, [], "a must be a non-empty")],
+    )
+    def test_rejects_bad_dimension_or_empty_eigenvalues(self, d, a, message):
+        with pytest.raises(ValueError, match=message):
+            DotProductSpectrum(d, a)
 
 
 class TestNtk:
@@ -312,6 +326,14 @@ class TestProjection:
             warnings.simplefilter("error")
             s = project_dot_product_spectrum(g, d, k_max)
         assert np.all(s.a >= 0.0)
+
+    def test_unstable_projection_raises(self, monkeypatch):
+        import rkhslab.kernels as kernels
+
+        # a step profile converges slowly; one doubling is not enough
+        monkeypatch.setattr(kernels, "QUAD_MAX_DOUBLINGS", 1)
+        with pytest.raises(QuadratureError, match="after 1 order doublings"):
+            project_dot_product_spectrum(lambda t: (t > 0.3).astype(float), 2, 4)
 
     def test_indefinite_profile_raises(self):
         with pytest.raises(ValueError, match="not positive definite"):

@@ -318,6 +318,7 @@ def test_both_routes_reject_negative_lambda(route):
         lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam),
         lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam),
         lambda k, X, lam: envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, len(X)),
+        lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan),
     ],
     ids=[
         "v_lambda_coefficient_route",
@@ -328,12 +329,14 @@ def test_both_routes_reject_negative_lambda(route):
         "v_lambda_gram_route",
         "ridge_fit",
         "envelope_shape",
+        "v2_lambda_n",
     ],
 )
 def test_nan_lambda_rejected(call):
     k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
     X = np.random.default_rng(14).random(8)
-    with pytest.raises(ValueError, match="lambda"):
+    # the last case passes NaN as v2_lambda's n
+    with pytest.raises(ValueError, match=r"lambda|n must be at least 1 \(got nan\)"):
         call(k, X, float("nan"))
 
 

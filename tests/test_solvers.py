@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_factor, cho_solve
 
 from rkhslab import (
     NotInPowerSpace,
@@ -105,32 +105,42 @@ class TestRidgeFit:
         with pytest.raises(SingularGram):
             ridge_fit(k, s, 0.0)
 
-    def test_eigh_fallback_after_a_failed_factorization(self):
+    def test_unfactorizable_regularized_system_raises(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 16))
         rng = np.random.default_rng(3)
         s = SampleSet(rng.random(48), rng.standard_normal(48))
         lam = 1e-300  # lost in the rounding of the diagonal: the system stays singular
-        G = gram_matrix(k, s.X)
-        G.flat[:: s.n + 1] += s.n * lam
-        w, Q = eigh(G)
-        w = np.maximum(w, np.max(w) * np.finfo(float).eps)
-        assert np.array_equal(ridge_fit(k, s, lam).alpha, Q @ ((Q.T @ s.Y) / w))
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            ridge_fit(k, s, lam)
+        assert not isinstance(exc.value, SingularGram)
 
-    def test_eigh_fallback_returns_dual_vector(self, cosine_kernel, monkeypatch):
+    def test_failed_factorization_is_reraised(self, cosine_kernel, monkeypatch):
         import rkhslab.solvers as solvers
 
-        def fail(A, **kw):
-            raise np.linalg.LinAlgError("forced failure")
-
+        monkeypatch.setattr(solvers, "cho_factor", fail_to_factor)
         rng = np.random.default_rng(4)
         s = SampleSet(rng.random(6), rng.standard_normal(6))
-        E = cosine_kernel.basis_matrix(s.X)
-        G = (E * cosine_kernel.spectrum.mu) @ E.T
-        expected = np.linalg.solve(G + 6 * 0.1 * np.eye(6), s.Y)
-        monkeypatch.setattr(solvers, "cho_factor", fail)
-        d = ridge_fit(cosine_kernel, s, 0.1)
-        assert d.alpha.shape == (6,)
-        np.testing.assert_allclose(d.alpha, expected, rtol=1e-10)
+        with pytest.raises(np.linalg.LinAlgError, match="forced failure") as exc:
+            ridge_fit(cosine_kernel, s, 0.1)
+        assert not isinstance(exc.value, SingularGram)
+
+
+def fail_to_factor(A, **kw):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+def spy_on_ridge_fit(monkeypatch) -> list:
+    """The jitter of every ridge_fit call that min_norm_fit makes, in call order."""
+    import rkhslab.solvers as solvers
+
+    jitters = []
+
+    def spy(kernel, s, lam, jitter=0.0):
+        jitters.append(jitter)
+        return ridge_fit(kernel, s, lam, jitter=jitter)
+
+    monkeypatch.setattr(solvers, "ridge_fit", spy)
+    return jitters
 
 
 class TestMinNormFit:
@@ -139,31 +149,30 @@ class TestMinNormFit:
         d = min_norm_fit(cosine_kernel, SampleSet(rng.random(8), rng.standard_normal(8)))
         assert d.jitter_used == 0
 
-    def test_singular_fit_retries_once(self, cosine_kernel, monkeypatch):
-        import rkhslab.solvers as solvers
-
-        def fail(A, **kw):
-            raise np.linalg.LinAlgError("forced failure")
-
-        jitters = []
-
-        def spy(kernel, s, lam, jitter=0.0):
-            jitters.append(jitter)
-            return ridge_fit(kernel, s, lam, jitter=jitter)
-
-        monkeypatch.setattr(solvers, "cho_factor", fail)
-        monkeypatch.setattr(solvers, "ridge_fit", spy)
-        s = SampleSet([0.2, 0.8], [1.0, -1.0])
-        d = min_norm_fit(cosine_kernel, s)
-        G = gram_matrix(cosine_kernel, s.X)
+    def test_singular_fit_retries_once(self, monkeypatch):
+        jitters = spy_on_ridge_fit(monkeypatch)
+        # 48 points and 16 modes: the Gram matrix has rank 16 and Cholesky fails
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 16))
+        rng = np.random.default_rng(3)
+        s = SampleSet(rng.random(48), rng.standard_normal(48))
+        d = min_norm_fit(k, s)
+        G = gram_matrix(k, s.X)
         jitter = 1e-12 * np.linalg.eigvalsh(G)[-1]
         assert jitters == [0.0, jitter]
         assert d.jitter_used == jitter > 0
-        # the clipped eigendecomposition of G + jitter I, as ridge_fit writes it
+        # the jittered system factors: alpha is its Cholesky solve
         G.flat[:: s.n + 1] += jitter
-        w, Q = eigh(G)
-        w = np.maximum(w, np.max(w) * np.finfo(float).eps)
-        assert np.array_equal(d.alpha, Q @ ((Q.T @ s.Y) / w))
+        assert np.array_equal(d.alpha, cho_solve(cho_factor(G, lower=True), s.Y))
+
+    def test_a_rejected_retry_raises(self, cosine_kernel, monkeypatch):
+        import rkhslab.solvers as solvers
+
+        jitters = spy_on_ridge_fit(monkeypatch)
+        monkeypatch.setattr(solvers, "cho_factor", fail_to_factor)
+        with pytest.raises(np.linalg.LinAlgError, match="forced failure") as exc:
+            min_norm_fit(cosine_kernel, SampleSet([0.2, 0.8], [1.0, -1.0]))
+        assert not isinstance(exc.value, SingularGram)
+        assert len(jitters) == 2 and jitters[0] == 0 < jitters[1]
 
 
 class TestPredictAndCoefficients:

@@ -54,6 +54,19 @@ class TestMakePowerLawSpectrum:
         with pytest.raises(ValueError, match=message):
             make_power_law_spectrum(*args)
 
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            ([[1.0, 0.5]], "non-empty 1-d array"),
+            ([1.0, 0.0], "strictly positive"),
+            ([0.5, 1.0], "non-increasing"),
+        ],
+        ids=["two_dimensional", "non_positive", "increasing"],
+    )
+    def test_spectrum_rejects_invalid_eigenvalues(self, mu, message):
+        with pytest.raises(ValueError, match=message):
+            Spectrum(np.array(mu), beta=2.0, zeta=0.0)
+
     def test_overflowing_term_is_clipped_to_mu_1(self):
         # (2 (log 2)^971)^-2 exceeds the float range; no RuntimeWarning (warnings are errors)
         s = make_power_law_spectrum(2.0, 971.0, 3)
@@ -176,6 +189,12 @@ class TestEmbeddingNorm:
         with pytest.raises(DivergentEmbedding):
             embedding_norm(k, 0.4)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, np.nan])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            embedding_norm(k, alpha)
+
     @pytest.mark.parametrize(
         "M", [8, 9, 10, 11, 13, 17, 21, 25, 29], ids="{}-cosine_unit_interval".format
     )
@@ -283,6 +302,16 @@ class TestTheoreticalExponent:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             theoretical_exponent(1.0, 2.0, 0.5)
+
+    def test_no_divergence_case(self):
+        # threshold 3 (0.9 - 0.5) = 1.2 exceeds gamma: (0.1 - 1.2) / (2.7 - 1)
+        rep = theoretical_exponent(0.1, 2.0, 0.9)
+        assert rep.exponent == pytest.approx(-1.1 / 1.7)
+        assert rep.classification == "no_divergence"
+
+    def test_rejects_alpha_star_below_inverse_beta(self):
+        with pytest.raises(ValueError, match=r"alpha_star must lie in \[1/beta, 1\]"):
+            theoretical_exponent(0.5, 2.0, 0.2)
 
 
 class TestAppendixBounds:
