@@ -1,6 +1,6 @@
 """Numerical laboratory for minimum-norm kernel interpolation in spectral RKHSs.
 
-Subpackages:
+Modules:
 
 * :mod:`rkhslab.spectra` -- eigenvalue sequences, effective dimension,
   embedding index and norms from the decay law, predicted exponents.

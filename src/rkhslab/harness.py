@@ -17,7 +17,7 @@ a pure function of (seed, n, replicate), so a fixed config reproduces every
 CSV byte for byte, and ``summary.json`` apart from its ``runtime_seconds``.
 Each experiment returns the dict that its ``summary.json`` holds, and writes
 ``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which plots what it lists.
-A run makes its output directory only after all of its replicates have run.
+A run checks its output path first and makes the directory after the replicates.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 MAX_FAILURE_FRACTION = 0.2
-# squared errors scale with sigma^2 and overflow for larger noise levels
-MAX_SIGMA = 1e100
+# bound on sigma and |f_star_b1|: errors grow as their squares, which np.std squares again
+MAX_AMPLITUDE = 1e50
 
 
 class ConfigError(ValueError):
@@ -104,8 +104,10 @@ class ExperimentConfig:
             raise ConfigError("lambda grid entries must lie in (0, 1/2)")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
-        if not 0 < self.sigma <= MAX_SIGMA:
-            raise ConfigError(f"sigma must lie in (0, {MAX_SIGMA:g}]")
+        if not 0 < self.sigma <= MAX_AMPLITUDE:
+            raise ConfigError(f"sigma must lie in (0, {MAX_AMPLITUDE:g}]")
+        if not abs(self.f_star_b1) <= MAX_AMPLITUDE:
+            raise ConfigError(f"f_star_b1 must lie in [-{MAX_AMPLITUDE:g}, {MAX_AMPLITUDE:g}]")
         if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be non-empty and strictly increasing")
         if self.replicates < 1:
@@ -228,6 +230,11 @@ def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict[int, dict[
     """
     if threads < 0:
         raise ValueError(f"threads must be 0 (the CPU count) or positive (got {threads})")
+    path = Path(cfg.output_dir)
+    while not os.path.lexists(path):  # the directory is made after the replicates: check it first
+        path = path.parent
+    if not path.is_dir():
+        raise ConfigError(f"cannot make output_dir {cfg.output_dir}: {path} is not a directory")
     failed = (np.linalg.LinAlgError, NotInPowerSpace)
     with ThreadPoolExecutor(max_workers=threads or os.cpu_count() or 1) as pool:
         futs = {n: {r: pool.submit(one, n, r) for r in range(cfg.replicates)} for n in cfg.n_grid}
@@ -275,10 +282,10 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     return _write_summary(out, summary, t0)
 
 
-def _error_stats(vals: np.ndarray) -> list[float]:
-    """Mean, standard error, median, 10% and 90% quantiles; NaN without values."""
+def _error_stats(vals: np.ndarray) -> list[float | None]:
+    """Mean, standard error, median, 10% and 90% quantiles; None (JSON null) without values."""
     if len(vals) == 0:
-        return [float("nan")] * 5
+        return [None] * 5
     stderr = np.std(vals, ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
     quantiles = (np.quantile(vals, 0.1), np.quantile(vals, 0.9))
     return [float(x) for x in (np.mean(vals), stderr, np.median(vals), *quantiles)]

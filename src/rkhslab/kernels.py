@@ -38,7 +38,6 @@ __all__ = [
     "multiplicity",
     "kernel_eval",
     "gram_matrix",
-    "gegenbauer_p",
     "dot_product_kernel_eval",
     "ntk_eval",
     "project_dot_product_spectrum",
@@ -191,13 +190,6 @@ def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
     return P
 
 
-def gegenbauer_p(k: int, d: int, t) -> float | np.ndarray:
-    """Degree-k Gegenbauer polynomial on [-1, 1] with P_k(1) = 1."""
-    t, scalar = _check_t(t)
-    vals = _gegenbauer_table(k, d, t)[k]
-    return float(vals[0]) if scalar else vals
-
-
 @dataclass(frozen=True)
 class DotProductSpectrum:
     """Per-degree eigenvalues a_k of a dot-product kernel on S^d."""
@@ -215,19 +207,12 @@ class DotProductSpectrum:
         if not np.all(a >= 0):  # a negated inclusion, so that NaN fails it too
             raise ValueError("per-degree eigenvalues must be nonnegative")
 
-    @property
-    def k_max(self) -> int:
-        return len(self.a) - 1
-
-    def multiplicities(self) -> np.ndarray:
-        return np.array([multiplicity(self.d, k) for k in range(len(self.a))], dtype=float)
-
 
 def dot_product_kernel_eval(s: DotProductSpectrum, t) -> float | np.ndarray:
     """K(t) = sum_k a_k N(d, k) P_k(t) for t = <x, x'>."""
     t, scalar = _check_t(t)
-    P = _gegenbauer_table(s.k_max, s.d, t)
-    vals = (s.a * s.multiplicities()) @ P
+    P = _gegenbauer_table(len(s.a) - 1, s.d, t)
+    vals = (s.a * np.array([multiplicity(s.d, k) for k in range(len(s.a))], dtype=float)) @ P
     return float(vals[0]) if scalar else vals
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "v1_lambda",
     "v2_lambda",
     "norm_eq_check",
+    "operator_rep_check",
     "variance_curve",
     "envelope_shape",
     "concentration_trial",
@@ -239,6 +240,21 @@ def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
     lhs = np.sqrt(gamma_norm_sq(w * np.sqrt(s.mu[: len(w)]), s, gamma))
     rhs = float(np.linalg.norm(s.mu[: len(w)] ** ((1.0 - gamma) / 2.0) * w))
     return abs(lhs - rhs)
+
+
+def operator_rep_check(
+    d: "DualSolution", m: TruncatedOperatorModel, s: "SampleSet", lam: float
+) -> float:
+    """Max coefficient discrepancy between the dual and operator representations.
+
+    The fit's coordinates in the orthonormal basis (sqrt(mu_i) e_i) are
+    computed once from alpha and once as (1/n) sum_i y_i (C_emp + lam)^{-1}
+    psi(x_i); the two agree up to solver tolerance.
+    """
+    w_dual = m.psi.T @ d.alpha
+    U, e, W = _coefficient_solution(m, lam)
+    w_op = W.T @ (e * (U.T @ s.Y)) / m.n
+    return float(np.max(np.abs(w_dual - w_op)))
 
 
 def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid):

@@ -16,12 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import SpectralKernel, gram_matrix
-from .operators import (
-    NotInPowerSpace,
-    TruncatedOperatorModel,
-    _coefficient_solution,
-    gamma_norm_sq,
-)
+from .operators import gamma_norm_sq
 
 __all__ = [
     "SingularGram",
@@ -31,9 +26,7 @@ __all__ = [
     "min_norm_fit",
     "predict",
     "estimator_l2_coefficients",
-    "operator_rep_check",
     "gamma_error_sq",
-    "rkhs_norm_sq",
 ]
 
 # jitter of the one retry of a singular lambda = 0 fit, times the largest Gram eigenvalue
@@ -129,26 +122,12 @@ def estimator_l2_coefficients(d: DualSolution) -> np.ndarray:
     return d.kernel.spectrum.mu * (E.T @ d.alpha)
 
 
-def operator_rep_check(
-    d: DualSolution, m: TruncatedOperatorModel, s: SampleSet, lam: float
-) -> float:
-    """Max coefficient discrepancy between the dual and operator representations.
-
-    The fit's coordinates in the orthonormal basis (sqrt(mu_i) e_i) are
-    computed once from alpha and once as (1/n) sum_i y_i (C_emp + lam)^{-1}
-    psi(x_i); the two agree up to solver tolerance.
-    """
-    w_dual = m.psi.T @ d.alpha
-    U, e, W = _coefficient_solution(m, lam)
-    w_op = W.T @ (e * (U.T @ s.Y)) / m.n
-    return float(np.max(np.abs(w_dual - w_op)))
-
-
 def gamma_error_sq(d: DualSolution, f_star_coeffs, gamma: float) -> float:
     """Squared gamma-norm error sum mu_i^(-gamma) (c_i - b_i)^2.
 
     ``f_star_coeffs`` are the leading L2 coefficients b_i of the target, at
-    most as many as the truncation; the others are zero.
+    most as many as the truncation; the others are zero.  With none and
+    gamma = 1 this is the fit's squared norm in the hypothesis space.
     """
     f_star = np.asarray(f_star_coeffs, dtype=float)
     # checks the target's length and that it lies in the power space
@@ -156,8 +135,3 @@ def gamma_error_sq(d: DualSolution, f_star_coeffs, gamma: float) -> float:
     c = estimator_l2_coefficients(d)
     c[: len(f_star)] -= f_star
     return gamma_norm_sq(c, d.kernel.spectrum, gamma)
-
-
-def rkhs_norm_sq(d: DualSolution) -> float:
-    """|| f ||^2 in the hypothesis space, sum c_i^2 / mu_i = alpha^T K(X, X) alpha."""
-    return gamma_norm_sq(estimator_l2_coefficients(d), d.kernel.spectrum, 1.0)

@@ -1,8 +1,10 @@
-"""The benchmark's traced child, once per workload.
+"""The benchmark's child, once per workload in its traced and its measuring mode.
 
 A traced child wraps every layer function and checks each call count
 against the plan of its warm-ups and units, so a renamed layer function,
-a changed solver signature or a moved call count fails here first.
+a changed solver signature or a moved call count fails here first.  A
+measuring child compares its first unit's outputs with the stored
+reference, within each value's tolerance.
 """
 
 import json
@@ -19,8 +21,9 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOAD_NAMES = [w["name"] for w in SPEC["workloads"]]
 
 
+@pytest.mark.parametrize("mode", ["trace", "measure"])
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_traced_child_passes_the_call_count_gate(monkeypatch, name):
+def test_child_passes_the_gate_of_its_mode(monkeypatch, name, mode):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import run
     import workloads
@@ -28,7 +31,7 @@ def test_traced_child_passes_the_call_count_gate(monkeypatch, name):
     w = workloads.WORKLOADS[name]
     cmd = [sys.executable, "bench/child.py", "--workload", name, "--seed", "7", "--units", "1"]
     proc = subprocess.run(
-        cmd + ["--mode", "trace", "--t0", repr(time.monotonic())],
+        cmd + ["--mode", mode, "--t0", repr(time.monotonic())],
         cwd=ROOT,
         env=run.child_env(w.blas_threads),
         stdout=subprocess.PIPE,
@@ -39,3 +42,6 @@ def test_traced_child_passes_the_call_count_gate(monkeypatch, name):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if mode == "measure":
+        # the stored references' sha256 digests are stale, so only the tolerance check is read
+        assert result["reference_check"]["ok"] is True

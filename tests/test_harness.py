@@ -98,6 +98,9 @@ class TestExperimentConfig:
             dict(beta=100.0, gamma=0.5),  # mu_M = 4096^-100 underflows
             dict(beta=2.0, gamma=0.5, output_dir=3),
             dict(beta=2.0, gamma=0.5, seed=-1),
+            dict(beta=2.0, gamma=0.5, sigma=1e51),
+            dict(beta=2.0, gamma=0.5, f_star_b1=1e51),
+            dict(beta=2.0, gamma=0.5, f_star_b1=-1e51),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -345,6 +348,15 @@ class TestInconsistencyExperiment:
         )
         assert run_inconsistency_experiment(cfg)["success_counts"] == [3, 3, 3]
 
+    def test_amplitudes_at_the_bound_give_finite_statistics(self, tmp_path):
+        import dataclasses
+
+        cfg = dataclasses.replace(small_inconsistency_config(tmp_path), sigma=1e50, f_star_b1=-1e50)
+        result = run_inconsistency_experiment(cfg)
+        assert result["failure_counts"] == [0, 0, 0]
+        stats = ("mean_errors", "stderr_errors", "median_errors", "q10_errors", "q90_errors")
+        assert np.all(np.isfinite([result[k] for k in stats]))
+
     def test_zero_amplitude_mode_matches_zero_target(self, tmp_path):
         # the default f_star_b1 = 0 is f* = 0: each error is the fit's own gamma-norm
         cfg = small_inconsistency_config(tmp_path)
@@ -370,7 +382,7 @@ def output_files(out: Path) -> dict:
     return files
 
 
-@pytest.mark.parametrize(
+BOTH_EXPERIMENTS = pytest.mark.parametrize(
     "run, config",
     [
         (run_variance_experiment, small_variance_config),
@@ -378,6 +390,9 @@ def output_files(out: Path) -> dict:
     ],
     ids=["variance", "inconsistency"],
 )
+
+
+@BOTH_EXPERIMENTS
 def test_every_output_file_is_independent_of_the_thread_count(tmp_path, run, config):
     # 0 selects the CPU count
     for threads in (1, 2, 0):
@@ -388,19 +403,29 @@ def test_every_output_file_is_independent_of_the_thread_count(tmp_path, run, con
     assert output_files(tmp_path / "threads1") == output_files(tmp_path / "threads0")
 
 
-@pytest.mark.parametrize(
-    "run, config",
-    [
-        (run_variance_experiment, small_variance_config),
-        (run_inconsistency_experiment, small_inconsistency_config),
-    ],
-    ids=["variance", "inconsistency"],
-)
+@BOTH_EXPERIMENTS
 def test_negative_thread_count_is_rejected(tmp_path, run, config):
     cfg = config(tmp_path / "run", seed=9)
     with pytest.raises(ValueError, match=r"threads must be 0 \(the CPU count\) or positive"):
         run(cfg, threads=-3)
     assert not Path(cfg.output_dir).exists()
+
+
+@BOTH_EXPERIMENTS
+@pytest.mark.parametrize("below", ["F", "F/sub", "dangling", "dangling/sub"])
+def test_an_output_path_below_a_file_fails_before_any_job(
+    tmp_path, monkeypatch, run, config, below
+):
+    import rkhslab.harness as harness
+
+    (tmp_path / "F").write_text("a file")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    jobs = []
+    monkeypatch.setattr(harness, "replicate_rng", lambda *args: jobs.append(args))
+    with pytest.raises(ConfigError, match="is not a directory"):
+        run(config(tmp_path / below))
+    assert jobs == []
+    assert (tmp_path / "F").read_text() == "a file"
 
 
 def test_variance_warm_up_makes_the_planned_layer_calls(tmp_path, monkeypatch):
@@ -475,6 +500,29 @@ class TestPartialFailure:
         survivors = errors[errors[:, 0] == 16, 2]
         assert result["mean_errors"][1] == pytest.approx(np.mean(survivors), rel=1e-12)
         assert result["mean_errors"][::2] == clean_result["mean_errors"][::2]
+
+    def test_an_n_without_successes_writes_null_statistics(self, tmp_path, monkeypatch):
+        import rkhslab.harness as harness
+
+        original = harness.min_norm_fit
+
+        def failing_at_16(kernel, s):
+            if s.n == 16:
+                raise np.linalg.LinAlgError("forced")
+            return original(kernel, s)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        monkeypatch.setattr(harness, "min_norm_fit", failing_at_16)
+        result = run_inconsistency_experiment(small_inconsistency_config(tmp_path))
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert summary == result
+        assert summary["failure_counts"] == [0, 4, 0]
+        stats = ("mean_errors", "stderr_errors", "median_errors", "q10_errors", "q90_errors")
+        assert [summary[k][1] for k in stats] == [None] * 5
+        assert all(summary[k][0] is not None and summary[k][2] is not None for k in stats)
+        assert summary["fitted_slope"] is None
 
     def test_variance_curve_is_the_mean_of_the_survivors(self, tmp_path, monkeypatch):
         import dataclasses
@@ -653,6 +701,13 @@ class TestCli:
         path.write_text(json.dumps({"beta": 0.5, "gamma": 0.5}))
         assert cli_main(["inconsistency", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_output_path_below_a_file_exit_code(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        code = cli_main(["inconsistency", "--config", str(path), "--out", str(path / "sub")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert path.is_file()
 
     def test_negative_threads_is_a_usage_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -18,7 +18,6 @@ from rkhslab import (
     operator_rep_check,
     predict,
     ridge_fit,
-    rkhs_norm_sq,
     v_lambda_coefficient_route,
 )
 
@@ -83,7 +82,7 @@ class TestRidgeFit:
         rng = np.random.default_rng(2)
         X, Y = rng.random(16), rng.standard_normal(16)
         norms = [
-            rkhs_norm_sq(ridge_fit(cosine_kernel, SampleSet(X, Y), lam))
+            gamma_error_sq(ridge_fit(cosine_kernel, SampleSet(X, Y), lam), [], 1.0)
             for lam in np.geomspace(1e-6, 1.0, 10)
         ]
         assert np.all(np.diff(norms) <= 1e-10)
@@ -211,7 +210,7 @@ class TestPredictAndCoefficients:
         )
         E[:, 0] = 1.0
         ref = np.sum(cosine_kernel.spectrum.mu * (E.T @ d.alpha.astype(np.longdouble)) ** 2)
-        assert abs(rkhs_norm_sq(d) - float(ref)) <= 1e-9 * float(ref)
+        assert abs(gamma_error_sq(d, [], 1.0) - float(ref)) <= 1e-9 * float(ref)
 
 
 class TestOperatorRepCheck:
