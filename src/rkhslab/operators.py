@@ -11,10 +11,11 @@ The conditional-variance functional
 
 is computed by two independent routes: in coefficient space from the SVD
 of psi through the QR triangle of psi^T, computed once per model and shared
-by every lambda >= 0, and from one eigendecomposition of the n x n Gram
-matrix with the fractional-power kernel.  Its population approximations V1
-(empirical points, population covariance) and V2 (fully averaged closed
-form) have diagonal closed forms.  :func:`variance_curve` returns V by the
+by every lambda >= 0, and from one LU inverse of the regularized n x n Gram
+matrix, whose condition number is bounded through its trace, with the
+fractional-power kernel.  Its population approximations V1 (empirical
+points, population covariance) and V2 (fully averaged closed form) have
+diagonal closed forms.  :func:`variance_curve` returns V by the
 coefficient route, V1 and V2 along a lambda grid; :func:`v_lambda_gram_route`
 is the independent check.  :func:`envelope_shape` is the shape of the
 predicted small-lambda lower bound on V.
@@ -51,7 +52,8 @@ __all__ = [
 
 # relative singular-value cutoff for the lambda = 0 pseudo-inverse
 RANK_CUTOFF = 1e-12
-# largest condition number of G/n + lambda I the Gram route accepts
+# largest condition number of G/n + lambda I the Gram route accepts; below the trace bound
+# (tr(G)/n + lambda) / lambda the route trusts the solve without an eigensolve
 COND_LIMIT = 1e14
 # rows of W below this fraction of s[0] are re-orthogonalized; above, eps s[0] / s <= 2e-12
 REORTH_CUTOFF = 1e-4
@@ -147,8 +149,8 @@ def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
     With psi = U W, the rows of W orthogonal with norms s, e = 1 / (s^2/n + lambda) for every
     lambda >= 0; W is never divided by s, so Z stays finite at a zero singular value.
     """
-    # the lambda checks of this module are negated inclusions, so that NaN fails them too
-    if not lam >= 0:
+    # the lambda checks of this module are negated finite inclusions, so that NaN and inf fail
+    if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
     U, svals, W = m._svd
     if lam == 0:
@@ -175,12 +177,15 @@ def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma, lam: float):
 def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> float:
     """V(lambda) through the n x n Gram matrix.
 
-    With G = K(X, X) and A = (G/n + lambda I)^{-1}, returns
-    (1/n^2) tr(A K2 A) where K2 is the Gram matrix of the fractional-power
-    kernel with exponent 2 - gamma, from one eigendecomposition of G/n + lambda I.
+    With G = K(X, X) and A = G/n + lambda I, returns
+    (1/n^2) tr(A^{-1} K2 A^{-1}) where K2 is the Gram matrix of the
+    fractional-power kernel with exponent 2 - gamma, as the Frobenius product
+    <A^{-1}, K2 A^{-1}> from one LU inverse of A.  G is positive semidefinite,
+    so the condition number of A is at most (tr(G)/n + lambda) / lambda; only
+    when that bound exceeds COND_LIMIT are A's eigenvalues computed to decide.
     Algebraically identical to the coefficient route in the truncated model.
     """
-    if not lam >= 0:
+    if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
     _check_gamma(gamma)
     X = np.atleast_1d(np.asarray(X, dtype=float))
@@ -189,18 +194,22 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
         raise ValueError("need at least one sample point")
     A = gram_matrix(kernel, X)
     A /= n
+    # the trace bound on the condition number, without dividing by lambda = 0
+    bound_exceeded = np.trace(A) + lam > COND_LIMIT * lam
     A.flat[:: n + 1] += lam
-    w, Q = np.linalg.eigh(A)
-    cond = np.inf if w[0] <= 0 else w[-1] / w[0]
-    if cond > COND_LIMIT:
-        raise IllConditionedGram(f"condition number estimate {cond:.3e}")
+    if bound_exceeded:
+        w = np.linalg.eigvalsh(A)
+        cond = np.inf if w[0] <= 0 else w[-1] / w[0]
+        if cond > COND_LIMIT:
+            raise IllConditionedGram(f"condition number estimate {cond:.3e}")
+    A_inv = np.linalg.inv(A)
     K2 = gram_matrix(kernel, X, power=2.0 - gamma)
-    return float(np.sum(np.sum(Q * (K2 @ Q), axis=0) / w**2)) / n**2
+    return float(np.vdot(A_inv, K2 @ A_inv)) / n**2
 
 
 def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """Population-covariance approximation of V at the sampled points."""
-    if not lam > 0:
+    if not 0 < lam < np.inf:
         raise ValueError(f"lambda must be positive (got {lam})")
     _check_gamma(gamma)
     return float(np.sum(_variance_terms(m.mu, gamma, lam) * m._e_sq_sums)) / m.n**2
@@ -208,7 +217,7 @@ def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
 
 def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
-    if not lam > 0:
+    if not 0 < lam < np.inf:
         raise ValueError(f"lambda must be positive (got {lam})")
     if not n >= 1:
         raise ValueError(f"n must be at least 1 (got {n})")
@@ -218,7 +227,7 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
 
 def envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n; the log factor is 1 at lambda >= 1."""
-    if not (np.all(lam > 0) and n >= 1):
+    if not (np.all((lam > 0) & (lam < np.inf)) and n >= 1):
         raise ValueError(f"lambda must be positive and n at least 1 (got {lam}, {n})")
     _check_gamma(gamma)
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)
@@ -260,7 +269,7 @@ def operator_rep_check(
 def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid):
     """Arrays V (coefficient route), V1, V2 on a grid of positive regularization levels."""
     lam = np.asarray(lambda_grid, dtype=float)
-    if lam.size == 0 or not np.all(lam > 0):
+    if lam.size == 0 or not np.all((lam > 0) & (lam < np.inf)):
         raise ValueError("lambda grid must be non-empty and positive")
     v = np.array([v_lambda_coefficient_route(m, gamma, l) for l in lam])
     v1 = np.array([v1_lambda(m, gamma, l) for l in lam])

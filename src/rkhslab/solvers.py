@@ -79,8 +79,8 @@ def ridge_fit(
     system that Cholesky rejects raises its ``LinAlgError``, which the
     harness counts as a failed replicate.
     """
-    # a negated inclusion, so that NaN fails it too
-    if not (lam >= 0 and jitter >= 0):
+    # a negated finite inclusion, so that NaN and inf fail it too
+    if not (0 <= lam < np.inf and 0 <= jitter < np.inf):
         raise ValueError("lambda and jitter must be nonnegative")
     A = gram_matrix(kernel, s.X)
     A.flat[:: s.n + 1] += s.n * lam + jitter

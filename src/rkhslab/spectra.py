@@ -108,7 +108,7 @@ def _tail_integral(beta: float, zeta: float, M: int) -> float:
 
 def effective_dimension(s: Spectrum, lam: float) -> float:
     """Trace of (C + lambda)^(-1) C, i.e. sum mu_i / (mu_i + lambda)."""
-    if not lam > 0:  # a negated inclusion, so that NaN fails it too
+    if not 0 < lam < np.inf:  # a negated finite inclusion, so that NaN and inf fail it too
         raise ValueError(f"lambda must be positive (got {lam})")
     return float(np.sum(s.mu / (s.mu + lam)))
 

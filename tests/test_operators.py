@@ -19,6 +19,7 @@ from rkhslab import (
     embedding_norm,
     envelope_shape,
     gamma_norm_sq,
+    gram_matrix,
     kernel_eval,
     make_power_law_spectrum,
     norm_eq_check,
@@ -138,8 +139,6 @@ class TestVCoefficientRoute:
         assert np.isfinite(v0) and v0 > 0
 
     def test_lambda_zero_matches_gram_brute_force(self):
-        from rkhslab import gram_matrix
-
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
         X = np.array([0.11, 0.37, 0.62, 0.88])
         m = build_operator_model(k, X)
@@ -270,6 +269,7 @@ class TestVCoefficientRoute:
         monkeypatch.setattr(operators, "gram_matrix", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
         m = build_operator_model(k, np.random.default_rng(16).random(12))
         v, _, _ = variance_curve(m, 0.5, [1e-3, 1e-1])
@@ -282,10 +282,61 @@ class TestVGramRoute:
             0.25
         )
 
-    def test_ill_conditioned_duplicates(self):
+    @pytest.mark.parametrize("factor", [0.0, 0.1, 10.0], ids=["zero", "below", "above"])
+    def test_ill_conditioned_duplicates(self, factor):
+        # G has rank one, so the trace bound (tr(G)/n + lambda) / lambda is the condition
+        # number itself; lambda is a factor times the threshold where it reaches COND_LIMIT
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
-        with pytest.raises(IllConditionedGram):
-            v_lambda_gram_route(k, [0.3, 0.3], 0.0, 0.0)
+        X = np.array([0.3, 0.3])
+        G = gram_matrix(k, X)
+        lam = factor * np.trace(G) / len(X) / (operators.COND_LIMIT - 1.0)
+        w = np.linalg.eigvalsh(G / len(X) + lam * np.eye(len(X)))
+        ill = w[0] <= 0 or w[-1] / w[0] > operators.COND_LIMIT
+        assert ill == (factor < 1.0)
+        if ill:
+            with pytest.raises(IllConditionedGram, match="condition number estimate"):
+                v_lambda_gram_route(k, X, 0.0, lam)
+        else:
+            assert np.isfinite(v_lambda_gram_route(k, X, 0.0, lam))
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-1])
+    def test_well_conditioned_solve_needs_no_eigensolve(self, lam, monkeypatch):
+        # below COND_LIMIT the trace bound alone clears the solve
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 512))
+        X = np.random.default_rng(17).random(64)
+        m = build_operator_model(k, X)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolve on a well-conditioned Gram matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        v = v_lambda_gram_route(k, X, 0.5, lam)
+        assert v == pytest.approx(v_lambda_coefficient_route(m, 0.5, lam), rel=1e-10)
+
+    def test_lambda_zero_matches_coefficient_route(self):
+        # the full-rank design of test_lambda_zero_matches_gram_brute_force
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+        X = np.array([0.11, 0.37, 0.62, 0.88])
+        for gamma in (0.0, 0.5):
+            assert v_lambda_gram_route(k, X, gamma, 0.0) == pytest.approx(
+                v_lambda_coefficient_route(build_operator_model(k, X), gamma, 0.0), rel=1e-8
+            )
+
+    def test_matches_the_eigendecomposition_formula(self):
+        # the reference is the sum over eigenpairs (w, q) of A = G/n + lambda I
+        # of q^T K2 q / w^2, divided by n^2
+        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 256))
+        rng = np.random.default_rng(18)
+        for _ in range(3):
+            X = rng.random(32)
+            n = len(X)
+            for lam in (1e-4, 1e-2, 1e-1):
+                w, Q = np.linalg.eigh(gram_matrix(k, X) / n + lam * np.eye(n))
+                for gamma in (0.0, 0.5):
+                    K2 = gram_matrix(k, X, power=2.0 - gamma)
+                    ref = np.sum(np.sum(Q * (K2 @ Q), axis=0) / w**2) / n**2
+                    assert v_lambda_gram_route(k, X, gamma, lam) == pytest.approx(ref, rel=1e-10)
 
     def test_rejects_an_empty_sample(self):
         with pytest.raises(ValueError, match="need at least one sample point"):
@@ -307,18 +358,24 @@ def test_both_routes_reject_negative_lambda(route):
         route(k, X, -1e-3)
 
 
+NAN_INF = (float("nan"), float("inf"))
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, bad_values",
     [
-        lambda k, X, lam: v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam),
-        lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam),
-        lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)),
-        lambda k, X, lam: variance_curve(build_operator_model(k, X), 0.5, [0.1, lam]),
-        lambda k, X, lam: effective_dimension(k.spectrum, lam),
-        lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam),
-        lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam),
-        lambda k, X, lam: envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, len(X)),
-        lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan),
+        (
+            lambda k, X, lam: v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam),
+            NAN_INF,
+        ),
+        (lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam), NAN_INF),
+        (lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)), NAN_INF),
+        (lambda k, X, lam: variance_curve(build_operator_model(k, X), 0.5, [0.1, lam]), NAN_INF),
+        (lambda k, X, lam: effective_dimension(k.spectrum, lam), NAN_INF),
+        (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), NAN_INF),
+        (lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam), NAN_INF),
+        (lambda k, X, lam: envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, len(X)), NAN_INF),
+        (lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan), (float("nan"),)),
     ],
     ids=[
         "v_lambda_coefficient_route",
@@ -332,12 +389,13 @@ def test_both_routes_reject_negative_lambda(route):
         "v2_lambda_n",
     ],
 )
-def test_nan_lambda_rejected(call):
+def test_nan_lambda_rejected(call, bad_values):
     k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
     X = np.random.default_rng(14).random(8)
-    # the last case passes NaN as v2_lambda's n
-    with pytest.raises(ValueError, match=r"lambda|n must be at least 1 \(got nan\)"):
-        call(k, X, float("nan"))
+    # lambda must be finite too; the last case passes NaN as v2_lambda's n
+    for bad in bad_values:
+        with pytest.raises(ValueError, match=r"lambda|n must be at least 1 \(got nan\)"):
+            call(k, X, bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])

@@ -68,6 +68,11 @@ class TestRidgeFit:
         with pytest.raises(ValueError):
             ridge_fit(constant_kernel(), SampleSet([0.3], [1.0]), -0.1)
 
+    @pytest.mark.parametrize("jitter", [-0.1, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_jitter(self, jitter):
+        with pytest.raises(ValueError, match="lambda and jitter must be nonnegative"):
+            ridge_fit(constant_kernel(), SampleSet([0.3], [1.0]), 0.0, jitter=jitter)
+
     def test_linearity_in_y(self, cosine_kernel):
         rng = np.random.default_rng(1)
         X = rng.random(12)
