@@ -19,13 +19,6 @@ from .harness import (
 __all__ = ["main"]
 
 
-def _thread_count(text: str) -> int:
-    threads = int(text)
-    if threads < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or a positive integer (got {threads})")
-    return threads
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rkhslab", description="Variance-curve and interpolation-error experiments."
@@ -40,10 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output directory")
         p.add_argument(
-            "--threads",
-            type=_thread_count,
-            default=1,
-            help="worker threads; 0 selects the CPU count",
+            "--threads", type=int, default=1, help="worker threads; 0 selects the CPU count"
         )
     return parser
 

@@ -17,7 +17,7 @@ a pure function of (seed, n, replicate), so a fixed config reproduces every
 CSV byte for byte, and ``summary.json`` apart from its ``runtime_seconds``.
 Each experiment returns the dict that its ``summary.json`` holds, and writes
 ``plot.py``, the fixed script :data:`PLOT_SCRIPT`, which plots what it lists.
-A run checks its output path first and makes the directory after the replicates.
+A run makes its output directory before its first replicate.
 """
 
 from __future__ import annotations
@@ -224,17 +224,18 @@ def _write_summary(out: Path, summary: dict, t0: float) -> dict:
 def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict[int, dict[int, object]]:
     """``one(n, r)`` for every (n, replicate) on ``threads`` workers, as ``{n: {r: result}}``.
 
-    n runs in grid order and r ascending, on every CPU at ``threads = 0``.  A
-    job whose solve fails numerically is left out, so an n's failures are the
-    replicates missing from its table; any other error propagates.
+    n runs in grid order and r ascending, on every CPU at ``threads = 0``, once the
+    output directory is made.  A job whose solve fails numerically is left out, so
+    an n's failures are the replicates missing from its table; any other error propagates.
     """
     if threads < 0:
-        raise ValueError(f"threads must be 0 (the CPU count) or positive (got {threads})")
-    path = Path(cfg.output_dir)
-    while not os.path.lexists(path):  # the directory is made after the replicates: check it first
-        path = path.parent
-    if not path.is_dir():
-        raise ConfigError(f"cannot make output_dir {cfg.output_dir}: {path} is not a directory")
+        raise ConfigError(f"threads must be 0 (the CPU count) or positive (got {threads})")
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        not_dir = isinstance(err, (FileExistsError, NotADirectoryError))  # a file or dangling link
+        why = "it or a parent is not a directory" if not_dir else err
+        raise ConfigError(f"cannot make output_dir {cfg.output_dir}: {why}") from err
     failed = (np.linalg.LinAlgError, NotInPowerSpace)
     with ThreadPoolExecutor(max_workers=threads or os.cpu_count() or 1) as pool:
         futs = {n: {r: pool.submit(one, n, r) for r in range(cfg.replicates)} for n in cfg.n_grid}
@@ -265,7 +266,6 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         return np.column_stack([v, v_gram, v1, v2])
 
     table = _map_replicates(one, cfg, threads)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {"per_n": {}, "config": asdict(cfg)}
     for n, by_r in table.items():
         per_n = {"successes": len(by_r), "failures": cfg.replicates - len(by_r)}
@@ -311,8 +311,6 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> dic
         return gamma_error_sq(fit, [cfg.f_star_b1], cfg.gamma)
 
     table = _map_replicates(one, cfg, threads)
-    out.mkdir(parents=True, exist_ok=True)
-
     per_n = [np.array(list(by_r.values())) for by_r in table.values()]
     means, stderrs, medians, q10, q90 = (list(col) for col in zip(*map(_error_stats, per_n)))
     succ = [len(vals) for vals in per_n]

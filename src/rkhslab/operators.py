@@ -23,6 +23,7 @@ predicted small-lambda lower bound on V.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,10 +113,10 @@ class TruncatedOperatorModel:
 
 def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
     """Assemble the rows psi(x_k) of the sample."""
-    X = np.atleast_1d(np.asarray(X, dtype=float))
-    if len(X) < 1:
+    psi = _features(kernel, X, 1.0)
+    if len(psi) < 1:
         raise ValueError("need at least one sample point")
-    return TruncatedOperatorModel(kernel=kernel, psi=_features(kernel, X, 1.0))
+    return TruncatedOperatorModel(kernel=kernel, psi=psi)
 
 
 def _check_gamma(gamma) -> np.ndarray:
@@ -188,11 +189,10 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be nonnegative (got {lam})")
     _check_gamma(gamma)
-    X = np.atleast_1d(np.asarray(X, dtype=float))
-    n = len(X)
+    A = gram_matrix(kernel, X)
+    n = len(A)
     if n < 1:
         raise ValueError("need at least one sample point")
-    A = gram_matrix(kernel, X)
     A /= n
     # the trace bound on the condition number, without dividing by lambda = 0
     bound_exceeded = np.trace(A) + lam > COND_LIMIT * lam
@@ -333,6 +333,8 @@ def concentration_trial(
     the empirical covariance against its high-probability bound and (b)
     |V1 - V2| against sqrt(tau) M_alpha^2 / (sqrt(2) n^{3/2} lam^{gamma+alpha}).
     """
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in (n, trials)):
+        raise ValueError(f"n and trials must be integers (got {n!r}, {trials!r})")
     if not n >= 1:
         raise ValueError("need at least one sample point")
     if not tau >= 1:

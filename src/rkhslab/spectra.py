@@ -14,7 +14,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -60,8 +59,8 @@ class Spectrum:
 
     def tail(self, p: float = 1.0) -> float:
         """Estimate of sum_{i > M} mu_i^p under the declared law, finite for beta p > 1."""
-        if not self.beta * p > 1:  # a negated inclusion, so that NaN fails it too
-            raise ValueError(f"the tail needs beta p > 1 (got beta = {self.beta}, p = {p})")
+        if not 1 < self.beta * p < np.inf:  # a negated finite inclusion: NaN and inf fail it
+            raise ValueError(f"the tail needs finite beta p > 1 (got beta = {self.beta}, p = {p})")
         return _tail_integral(self.beta * p, self.zeta, self.size)
 
     def trace(self) -> float:
@@ -99,6 +98,9 @@ def _tail_integral(beta: float, zeta: float, M: int) -> float:
     gamma function (beta - 1)^(beta zeta - 1) Gamma(1 - beta zeta, (beta - 1) ln M),
     which is M^(1 - beta) / (beta - 1) at zeta = 0.
     """
+    # mpmath is imported here, its only use, to keep it out of the package import
+    import mpmath
+
     # at the default 15 digits Gamma(a, x) loses every digit for steep tails
     # (beta = 10, zeta = 3, M = 10^7 comes out negative)
     with mpmath.workdps(TAIL_DPS):
@@ -160,6 +162,8 @@ def theoretical_exponent(gamma: float, beta: float, alpha_star: float) -> Expone
     """Exponent (gamma - 3(alpha* - 1/beta)) / (3 alpha* - 2/beta) with its regime."""
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must lie in [0, 1) (got {gamma})")
+    if not 1 < beta < np.inf:  # before alpha_star, whose range 1/beta sets
+        raise ValueError(f"beta must be finite and exceed 1 (got {beta})")
     if not 1 / beta - 1e-12 <= alpha_star <= 1 + 1e-12:
         raise ValueError(f"alpha_star must lie in [1/beta, 1] (got {alpha_star})")
     threshold = 3.0 * (alpha_star - 1.0 / beta)

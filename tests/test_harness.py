@@ -406,7 +406,7 @@ def test_every_output_file_is_independent_of_the_thread_count(tmp_path, run, con
 @BOTH_EXPERIMENTS
 def test_negative_thread_count_is_rejected(tmp_path, run, config):
     cfg = config(tmp_path / "run", seed=9)
-    with pytest.raises(ValueError, match=r"threads must be 0 \(the CPU count\) or positive"):
+    with pytest.raises(ConfigError, match=r"threads must be 0 \(the CPU count\) or positive"):
         run(cfg, threads=-3)
     assert not Path(cfg.output_dir).exists()
 
@@ -426,6 +426,34 @@ def test_an_output_path_below_a_file_fails_before_any_job(
         run(config(tmp_path / below))
     assert jobs == []
     assert (tmp_path / "F").read_text() == "a file"
+
+
+def deny_mkdir(monkeypatch):
+    """Make every ``Path.mkdir`` raise PermissionError, as a read-only parent does for non-root."""
+
+    def mkdir(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+
+
+@BOTH_EXPERIMENTS
+@pytest.mark.parametrize("cause", ["permission_denied", "nul_byte"])
+def test_an_output_directory_that_cannot_be_made_fails_before_any_job(
+    tmp_path, monkeypatch, run, config, cause
+):
+    import rkhslab.harness as harness
+
+    jobs = []
+    monkeypatch.setattr(harness, "replicate_rng", lambda *args: jobs.append(args))
+    out = str(tmp_path / "run")
+    if cause == "permission_denied":
+        deny_mkdir(monkeypatch)
+    else:  # os.mkdir raises ValueError for it, not OSError
+        out += "\0"
+    with pytest.raises(ConfigError, match="cannot make output_dir .*(Permission denied|null byte)"):
+        run(config(out))
+    assert jobs == []
 
 
 def test_variance_warm_up_makes_the_planned_layer_calls(tmp_path, monkeypatch):
@@ -662,7 +690,9 @@ def test_experiments_load_no_heavy_scipy_subpackages():
     loaded = set(proc.stdout.split())
     for pkg in ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse"):
         assert pkg not in loaded, f"{pkg} imported by the package or the experiments"
-    assert {"rkhslab", "scipy.linalg", "mpmath"} <= loaded
+    assert {"rkhslab", "scipy.linalg"} <= loaded
+    # mpmath serves Spectrum.tail alone, which neither experiment calls
+    assert "mpmath" not in loaded
 
 
 class TestCli:
@@ -711,10 +741,21 @@ class TestCli:
 
     def test_negative_threads_is_a_usage_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["inconsistency", "--config", str(path), "--threads", "-3"])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        out = tmp_path / "run"
+        args = ["inconsistency", "--config", str(path), "--out", str(out), "--threads", "-3"]
+        assert cli_main(args) == 2
+        assert "config error: threads must be 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["inconsistency", "variance"])
+    def test_output_directory_that_cannot_be_made_exit_code(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        path = self.write_config(tmp_path, {"lambda_grid": [1e-2]})
+        deny_mkdir(monkeypatch)
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "config error: cannot make output_dir" in capsys.readouterr().err
 
     def test_threads_leave_the_csvs_unchanged(self, tmp_path):
         path = self.write_config(tmp_path)

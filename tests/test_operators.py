@@ -64,7 +64,7 @@ class TestBuildOperatorModel:
         assert np.max(np.abs(row_sq - diag)) <= 1e-10
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one sample point"):
             build_operator_model(one_mode_kernel(), [])
 
 
@@ -663,3 +663,11 @@ class TestConcentration:
     def test_rejects_an_empty_sample(self):
         with pytest.raises(ValueError, match="need at least one sample point"):
             concentration_trial(one_mode_kernel(), 0, 0.1, 0.75, 3.0, 2, 0)
+
+    @pytest.mark.parametrize("name", ["n", "trials"])
+    @pytest.mark.parametrize("bad", [8.5, 2.0, True])
+    def test_rejects_a_non_integer_count(self, name, bad):
+        # 8.5 used to fail inside numpy with a TypeError; True would count as 1
+        args = {"n": 8, "lam": 0.1, "alpha": 0.75, "tau": 3.0, "trials": 2, "rng_seed": 0}
+        with pytest.raises(ValueError, match="n and trials must be integers"):
+            concentration_trial(one_mode_kernel(), **{**args, name: bad})

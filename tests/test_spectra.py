@@ -142,7 +142,7 @@ class TestTailMass:
         direct = np.sum((i * np.log(i) ** zeta) ** (-beta * p)) + _tail_integral(beta * p, zeta, N)
         assert s.tail(p) == pytest.approx(direct, rel=1e-3)
 
-    @pytest.mark.parametrize("p", [0.5, 0.25, -1.0, np.nan])
+    @pytest.mark.parametrize("p", [0.5, 0.25, -1.0, np.nan, np.inf])
     def test_spectrum_tail_needs_beta_p_above_one(self, p):
         s = make_power_law_spectrum(2.0, 0.0, 16)
         with pytest.raises(ValueError, match="beta p > 1"):
@@ -312,6 +312,12 @@ class TestTheoreticalExponent:
     def test_rejects_alpha_star_below_inverse_beta(self):
         with pytest.raises(ValueError, match=r"alpha_star must lie in \[1/beta, 1\]"):
             theoretical_exponent(0.5, 2.0, 0.2)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 1.0, 0.5])
+    def test_rejects_beta_before_alpha_star(self, beta):
+        # the range of alpha_star is set by beta, so a bad beta is named, not alpha_star
+        with pytest.raises(ValueError, match="beta must be finite and exceed 1"):
+            theoretical_exponent(0.5, beta, 0.5)
 
 
 class TestAppendixBounds:
