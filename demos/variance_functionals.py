@@ -15,8 +15,10 @@ from rkhslab import (
     build_operator_model,
     envelope_shape,
     make_power_law_spectrum,
+    v1_lambda,
+    v2_lambda,
+    v_lambda_coefficient_route,
     v_lambda_gram_route,
-    variance_curve,
 )
 
 beta, gamma, n = 2.0, 0.5, 64
@@ -26,11 +28,13 @@ X = rng.random(n)
 model = build_operator_model(kernel, X)
 
 grid = np.geomspace(1e-4, 0.4, 12)
-V, V1, V2 = variance_curve(model, gamma, grid)
+V = np.array([v_lambda_coefficient_route(model, gamma, lam) for lam in grid])
 
 print("lambda        V (coeff)     V (gram)      V1            V2")
-for lam, v, v1, v2 in zip(grid, V, V1, V2):
+for lam, v in zip(grid, V):
     v_gram = v_lambda_gram_route(kernel, X, gamma, lam)
+    v1 = v1_lambda(model, gamma, lam)
+    v2 = v2_lambda(kernel.spectrum, gamma, lam, n)
     print(f"{lam:.3e}   {v:.6e}  {v_gram:.6e}  {v1:.6e}  {v2:.6e}")
 
 # V is non-increasing in lambda, and for small lambda it tracks the

@@ -39,8 +39,10 @@ from .operators import (
     NotInPowerSpace,
     build_operator_model,
     envelope_shape,
+    v1_lambda,
+    v2_lambda,
+    v_lambda_coefficient_route,
     v_lambda_gram_route,
-    variance_curve,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
 from .spectra import embedding_index, make_power_law_spectrum, theoretical_exponent
@@ -261,7 +263,11 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
     def one(n: int, r: int) -> np.ndarray:
         X = sample_inputs("unit_interval", n, replicate_rng(cfg.seed, n, r))
-        v, v1, v2 = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
+        m = build_operator_model(kernel, X)
+        v = [v_lambda_coefficient_route(m, cfg.gamma, l) for l in lam]
+        v1 = [v1_lambda(m, cfg.gamma, l) for l in lam]
+        del m  # free its factors, the replicate's largest arrays, before the Gram route
+        v2 = [v2_lambda(kernel.spectrum, cfg.gamma, l, n) for l in lam]
         v_gram = [v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam]
         return np.column_stack([v, v_gram, v1, v2])
 

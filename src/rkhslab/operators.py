@@ -15,10 +15,9 @@ by every lambda >= 0, and from one LU inverse of the regularized n x n Gram
 matrix, whose condition number is bounded through its trace, with the
 fractional-power kernel.  Its population approximations V1 (empirical
 points, population covariance) and V2 (fully averaged closed form) have
-diagonal closed forms.  :func:`variance_curve` returns V by the
-coefficient route, V1 and V2 along a lambda grid; :func:`v_lambda_gram_route`
-is the independent check.  :func:`envelope_shape` is the shape of the
-predicted small-lambda lower bound on V.
+diagonal closed forms.  Each functional answers one (gamma, lambda) point.
+:func:`envelope_shape` is the shape of the predicted small-lambda lower
+bound on V.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "v2_lambda",
     "norm_eq_check",
     "operator_rep_check",
-    "variance_curve",
     "envelope_shape",
     "concentration_trial",
 ]
@@ -119,12 +117,10 @@ def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
     return TruncatedOperatorModel(kernel=kernel, psi=psi)
 
 
-def _check_gamma(gamma) -> np.ndarray:
-    """gamma (scalar or sequence) as a 1-d array; a negated inclusion, so that NaN fails too."""
-    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if not np.all((gammas >= 0) & (gammas <= 1)):
+def _check_gamma(gamma) -> None:
+    """gamma must be one real number in [0, 1]; a negated inclusion, so that NaN fails too."""
+    if not (isinstance(gamma, numbers.Real) and 0 <= gamma <= 1):
         raise ValueError(f"gamma must lie in [0, 1] (got {gamma})")
-    return gammas
 
 
 def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
@@ -162,17 +158,12 @@ def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
     return U, 1.0 / (svals**2 / m.n + lam), W
 
 
-def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma, lam: float):
-    """V(lambda) evaluated in coefficient space.
-
-    ``gamma`` may be a scalar or a sequence; the factorization is shared
-    across all requested smoothness indices and regularization levels.
-    """
-    gammas = _check_gamma(gamma)
+def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
+    """V(lambda) evaluated in coefficient space, from the model's one factorization."""
+    _check_gamma(gamma)
     _, e, W = _coefficient_solution(m, lam)
     row_sq = np.einsum("kl,kl,k->l", W, W, e**2)  # sum of Z**2 over sample points, per mode
-    out = np.sum(m.mu ** (1.0 - gammas[:, None]) * row_sq, axis=1) / m.n**2
-    return float(out[0]) if np.isscalar(gamma) else out
+    return float(np.sum(m.mu ** (1.0 - gamma) * row_sq)) / m.n**2
 
 
 def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> float:
@@ -230,6 +221,8 @@ def envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.nd
     if not (np.all((lam > 0) & (lam < np.inf)) and n >= 1):
         raise ValueError(f"lambda must be positive and n at least 1 (got {lam}, {n})")
     _check_gamma(gamma)
+    if not (1 < beta < np.inf and np.isfinite(zeta)):
+        raise ValueError(f"need finite beta > 1 and finite zeta (got beta = {beta}, zeta = {zeta})")
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a shape above the float range is inf
         shape = lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
@@ -264,17 +257,6 @@ def operator_rep_check(
     U, e, W = _coefficient_solution(m, lam)
     w_op = W.T @ (e * (U.T @ s.Y)) / m.n
     return float(np.max(np.abs(w_dual - w_op)))
-
-
-def variance_curve(m: TruncatedOperatorModel, gamma: float, lambda_grid):
-    """Arrays V (coefficient route), V1, V2 on a grid of positive regularization levels."""
-    lam = np.asarray(lambda_grid, dtype=float)
-    if lam.size == 0 or not np.all((lam > 0) & (lam < np.inf)):
-        raise ValueError("lambda grid must be non-empty and positive")
-    v = np.array([v_lambda_coefficient_route(m, gamma, l) for l in lam])
-    v1 = np.array([v1_lambda(m, gamma, l) for l in lam])
-    v2 = np.array([v2_lambda(m.kernel.spectrum, gamma, l, m.n) for l in lam])
-    return v, v1, v2
 
 
 @dataclass(frozen=True)
@@ -342,6 +324,7 @@ def concentration_trial(
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
     spec = kernel.spectrum
+    v2 = v2_lambda(spec, gamma, lam, n)  # checks gamma before it enters the bounds
     m_alpha = embedding_norm(kernel, alpha)
     n_eff = effective_dimension(spec, lam)
     mu1 = float(spec.mu[0])
@@ -351,7 +334,6 @@ def concentration_trial(
         + np.sqrt(2.0 * m_alpha**2 * tau * b_nu / (n * lam**alpha))
     )
     v_bound = np.sqrt(tau) * m_alpha**2 / (np.sqrt(2.0) * n**1.5 * lam ** (gamma + alpha))
-    v2 = v2_lambda(spec, gamma, lam, n)
 
     rng = np.random.default_rng(rng_seed)
     op_stats, v_stats = np.empty(trials), np.empty(trials)

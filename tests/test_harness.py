@@ -456,40 +456,6 @@ def test_an_output_directory_that_cannot_be_made_fails_before_any_job(
     assert jobs == []
 
 
-def test_variance_warm_up_makes_the_planned_layer_calls(tmp_path, monkeypatch):
-    # the call-count gate of a traced benchmark run, on the variance warm-up config
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    import spans
-    import workloads
-
-    import rkhslab
-
-    cfg = workloads.WARM_UP[1]
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        # called through the package, where the tracer wraps it
-        rkhslab.run_variance_experiment(
-            ExperimentConfig(
-                beta=cfg["beta"],
-                gamma=cfg["gamma"],
-                truncation=cfg["truncation"],
-                n_grid=cfg["n_grid"],
-                replicates=cfg["replicates"],
-                lambda_grid=cfg["lambda_grid"],
-                seed=cfg["seed"],
-                output_dir=str(tmp_path),
-            ),
-            threads=cfg["threads"],
-        )
-    finally:
-        tracer.uninstall()
-    layers = spans.layer_metrics(tracer.spans)
-    expected = workloads.plan_calls([cfg])
-    for name in spans.LAYER_FUNCTIONS:
-        assert layers[f"{name}.calls"] == expected.get(name, 0), name
-
-
 def fail_one_replicate(monkeypatch, name, cfg, n, r):
     """Make ``harness.<name>`` raise LinAlgError on replicate (n, r) alone.
 
@@ -555,7 +521,13 @@ class TestPartialFailure:
     def test_variance_curve_is_the_mean_of_the_survivors(self, tmp_path, monkeypatch):
         import dataclasses
 
-        from rkhslab import build_operator_model, v_lambda_gram_route, variance_curve
+        from rkhslab import (
+            build_operator_model,
+            v1_lambda,
+            v2_lambda,
+            v_lambda_coefficient_route,
+            v_lambda_gram_route,
+        )
 
         clean = small_variance_config(tmp_path / "clean")
         run_variance_experiment(clean)
@@ -576,7 +548,10 @@ class TestPartialFailure:
         reps = []
         for r in (0, 2, 3):
             X = sample_inputs("unit_interval", 32, replicate_rng(cfg.seed, 32, r))
-            v, v1, v2 = variance_curve(build_operator_model(kernel, X), cfg.gamma, lam)
+            m = build_operator_model(kernel, X)
+            v = [v_lambda_coefficient_route(m, cfg.gamma, l) for l in lam]
+            v1 = [v1_lambda(m, cfg.gamma, l) for l in lam]
+            v2 = [v2_lambda(kernel.spectrum, cfg.gamma, l, 32) for l in lam]
             v_gram = [v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam]
             reps.append(np.column_stack([v, v_gram, v1, v2]))
         got = np.loadtxt(tmp_path / "partial" / "curve_n32.csv", delimiter=",", skiprows=1)
@@ -667,17 +642,21 @@ import sys, tempfile
 import rkhslab
 
 common = dict(beta=2.0, gamma=0.5, truncation=32, n_grid=(4, 8), replicates=1)
+print(" ".join(sorted(sys.modules)))
 with tempfile.TemporaryDirectory() as out:
-    rkhslab.run_inconsistency_experiment(rkhslab.ExperimentConfig(**common, output_dir=out + "/i"))
     rkhslab.run_variance_experiment(
         rkhslab.ExperimentConfig(**common, lambda_grid=(0.1,), output_dir=out + "/v")
     )
+    print(" ".join(sorted(sys.modules)))
+    rkhslab.run_inconsistency_experiment(rkhslab.ExperimentConfig(**common, output_dir=out + "/i"))
 print(" ".join(sorted(sys.modules)))
 """
 
 
 def test_experiments_load_no_heavy_scipy_subpackages():
-    # scipy.linalg is the only scipy subpackage the experiments need
+    # scipy.linalg is the only scipy subpackage the experiments need, and only the dual
+    # solve of the inconsistency experiment loads it; the script prints the loaded modules
+    # after the import, after a variance run and after an inconsistency run
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -687,10 +666,13 @@ def test_experiments_load_no_heavy_scipy_subpackages():
         text=True,
         check=True,
     )
-    loaded = set(proc.stdout.split())
+    imported, after_variance, loaded = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "rkhslab" in imported
+    assert not [m for m in imported if m.partition(".")[0] == "scipy"]
+    assert "scipy.linalg" not in after_variance
     for pkg in ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse"):
         assert pkg not in loaded, f"{pkg} imported by the package or the experiments"
-    assert {"rkhslab", "scipy.linalg"} <= loaded
+    assert "scipy.linalg" in loaded
     # mpmath serves Spectrum.tail alone, which neither experiment calls
     assert "mpmath" not in loaded
 

@@ -18,6 +18,7 @@ from rkhslab import (
     effective_dimension,
     embedding_norm,
     envelope_shape,
+    gamma_error_sq,
     gamma_norm_sq,
     gram_matrix,
     kernel_eval,
@@ -28,7 +29,6 @@ from rkhslab import (
     v2_lambda,
     v_lambda_coefficient_route,
     v_lambda_gram_route,
-    variance_curve,
 )
 
 
@@ -124,13 +124,6 @@ class TestVCoefficientRoute:
                 b = v_lambda_gram_route(k, X, gamma, lam)
                 assert abs(a - b) <= 1e-6 * abs(b)
 
-    def test_array_gamma_shares_solve(self):
-        k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 128))
-        m = build_operator_model(k, np.random.default_rng(4).random(8))
-        out = v_lambda_coefficient_route(m, np.array([0.0, 0.5]), 1e-2)
-        assert out[0] == pytest.approx(v_lambda_coefficient_route(m, 0.0, 1e-2))
-        assert out[1] == pytest.approx(v_lambda_coefficient_route(m, 0.5, 1e-2))
-
     def test_lambda_zero_finite_on_full_rank_instance(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
         X = np.array([0.11, 0.37, 0.62, 0.88])
@@ -206,9 +199,11 @@ class TestVCoefficientRoute:
         counting("qr")
         m = build_operator_model(k, np.random.default_rng(11).random(12))
         assert calls == []  # the factorization is computed on first use
-        variance_curve(m, 0.5, [1e-3, 1e-2, 1e-1])
+        for lam in (1e-3, 1e-2, 1e-1):
+            v_lambda_coefficient_route(m, 0.5, lam)
         assert sorted(calls) == ["qr", "svd"]
-        v_lambda_coefficient_route(m, [0.0, 0.25, 0.5], 0.0)
+        for gamma in (0.0, 0.25, 0.5):
+            v_lambda_coefficient_route(m, gamma, 0.0)
         assert sorted(calls) == ["qr", "svd"]
 
     def test_svd_factors_reconstruct_psi(self):
@@ -244,7 +239,7 @@ class TestVCoefficientRoute:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m: v_lambda_coefficient_route(m, [0.0, 0.5], 1e-2),
+            lambda m: v_lambda_coefficient_route(m, 0.5, 1e-2),
             lambda m: v1_lambda(m, 0.5, 1e-2),
         ],
         ids=["v_lambda_coefficient_route", "v1_lambda"],
@@ -272,7 +267,7 @@ class TestVCoefficientRoute:
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
         m = build_operator_model(k, np.random.default_rng(16).random(12))
-        v, _, _ = variance_curve(m, 0.5, [1e-3, 1e-1])
+        v = [v_lambda_coefficient_route(m, 0.5, lam) for lam in (1e-3, 1e-1)]
         assert np.all(np.isfinite(v))
 
 
@@ -370,7 +365,6 @@ NAN_INF = (float("nan"), float("inf"))
         ),
         (lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam), NAN_INF),
         (lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)), NAN_INF),
-        (lambda k, X, lam: variance_curve(build_operator_model(k, X), 0.5, [0.1, lam]), NAN_INF),
         (lambda k, X, lam: effective_dimension(k.spectrum, lam), NAN_INF),
         (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), NAN_INF),
         (lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam), NAN_INF),
@@ -381,7 +375,6 @@ NAN_INF = (float("nan"), float("inf"))
         "v_lambda_coefficient_route",
         "v1_lambda",
         "v2_lambda",
-        "variance_curve",
         "effective_dimension",
         "v_lambda_gram_route",
         "ridge_fit",
@@ -398,28 +391,33 @@ def test_nan_lambda_rejected(call, bad_values):
             call(k, X, bad)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+# a gamma is one number: a list or a one-element array is rejected too
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), -0.1, 1.5, [0.0, 0.5], np.array([0.5])],
+    ids=["nan", "-0.1", "1.5", "list", "array"],
+)
 @pytest.mark.parametrize(
     "call",
     [
         lambda k, X, g: v_lambda_coefficient_route(build_operator_model(k, X), g, 0.1),
-        lambda k, X, g: v_lambda_coefficient_route(build_operator_model(k, X), [0.5, g], 0.1),
         lambda k, X, g: v_lambda_gram_route(k, X, g, 0.1),
         lambda k, X, g: v1_lambda(build_operator_model(k, X), g, 0.1),
         lambda k, X, g: v2_lambda(k.spectrum, g, 0.1, len(X)),
-        lambda k, X, g: variance_curve(build_operator_model(k, X), g, [0.1]),
         lambda k, X, g: concentration_trial(k, len(X), 0.1, 0.75, 3.0, 3, 0, gamma=g),
         lambda k, X, g: envelope_shape(np.array([0.1]), g, 2.0, 0.0, len(X)),
+        lambda k, X, g: gamma_norm_sq(np.ones(4), k.spectrum, g),
+        lambda k, X, g: gamma_error_sq(ridge_fit(k, SampleSet(X, np.ones(len(X))), 0.1), [], g),
     ],
     ids=[
         "v_lambda_coefficient_route",
-        "v_lambda_coefficient_route_sequence",
         "v_lambda_gram_route",
         "v1_lambda",
         "v2_lambda",
-        "variance_curve",
         "concentration_trial",
         "envelope_shape",
+        "gamma_norm_sq",
+        "gamma_error_sq",
     ],
 )
 def test_gamma_outside_unit_interval_rejected(call, bad):
@@ -496,6 +494,20 @@ def test_envelope_shape_rejects_nonpositive_lambda_or_n(lam, n):
         envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, n)
 
 
+@pytest.mark.parametrize(
+    "beta, zeta",
+    [
+        (0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+        (2.0, np.nan), (2.0, np.inf),
+    ],
+    ids=["beta_zero", "beta_negative", "beta_one", "beta_nan", "beta_inf", "zeta_nan", "zeta_inf"],
+)
+def test_envelope_shape_rejects_a_bad_decay_law(beta, zeta):
+    # beta = 0 divided by zero, a NaN gave NaN and beta = -1 gave numbers
+    with pytest.raises(ValueError, match="need finite beta > 1 and finite zeta"):
+        envelope_shape(np.array([0.1]), 0.5, beta, zeta, 8)
+
+
 def test_envelope_shape_above_the_float_range_is_inf():
     # log(1e6)^266 exceeds the float range; no RuntimeWarning (warnings are errors)
     shape = envelope_shape(np.array([1e-6, 1e-1]), 0.5, 1.125, -266.0, 1)
@@ -526,7 +538,7 @@ class TestVarianceCurve:
     def test_non_increasing(self):
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 256))
         m = build_operator_model(k, np.random.default_rng(8).random(16))
-        v, _, _ = variance_curve(m, 0.0, np.geomspace(1e-4, 0.4, 12))
+        v = [v_lambda_coefficient_route(m, 0.0, lam) for lam in np.geomspace(1e-4, 0.4, 12)]
         assert np.all(np.diff(v) <= 1e-10)
 
     def test_envelope_finite_for_lambda_at_least_one(self):
@@ -536,13 +548,6 @@ class TestVarianceCurve:
         # the log factor is dropped at lambda >= 1, as in the harness's curve files
         expected = lam ** (-0.5 - 0.5) * np.array([np.log(10.0) ** -0.5, 1.0]) / 8
         np.testing.assert_allclose(env, expected, rtol=1e-14)
-
-    def test_rejects_bad_grid(self):
-        m = build_operator_model(one_mode_kernel(), [0.5])
-        with pytest.raises(ValueError):
-            variance_curve(m, 0.0, [])
-        with pytest.raises(ValueError):
-            variance_curve(m, 0.0, [-0.1, 0.1])
 
 
 class TestEmbeddingInequality:

@@ -119,9 +119,7 @@ class TestRidgeFit:
         assert not isinstance(exc.value, SingularGram)
 
     def test_failed_factorization_is_reraised(self, cosine_kernel, monkeypatch):
-        import rkhslab.solvers as solvers
-
-        monkeypatch.setattr(solvers, "cho_factor", fail_to_factor)
+        monkeypatch.setattr("scipy.linalg.cho_factor", fail_to_factor)
         rng = np.random.default_rng(4)
         s = SampleSet(rng.random(6), rng.standard_normal(6))
         with pytest.raises(np.linalg.LinAlgError, match="forced failure") as exc:
@@ -169,10 +167,8 @@ class TestMinNormFit:
         assert np.array_equal(d.alpha, cho_solve(cho_factor(G, lower=True), s.Y))
 
     def test_a_rejected_retry_raises(self, cosine_kernel, monkeypatch):
-        import rkhslab.solvers as solvers
-
         jitters = spy_on_ridge_fit(monkeypatch)
-        monkeypatch.setattr(solvers, "cho_factor", fail_to_factor)
+        monkeypatch.setattr("scipy.linalg.cho_factor", fail_to_factor)
         with pytest.raises(np.linalg.LinAlgError, match="forced failure") as exc:
             min_norm_fit(cosine_kernel, SampleSet([0.2, 0.8], [1.0, -1.0]))
         assert not isinstance(exc.value, SingularGram)
