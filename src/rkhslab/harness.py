@@ -23,7 +23,6 @@ A run makes its output directory before its first replicate.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import sys
 import time
@@ -45,7 +44,7 @@ from .operators import (
     v_lambda_gram_route,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
-from .spectra import embedding_index, make_power_law_spectrum, theoretical_exponent
+from .spectra import _is_int, embedding_index, make_power_law_spectrum, theoretical_exponent
 
 __all__ = [
     "ConfigError",
@@ -64,10 +63,6 @@ MAX_AMPLITUDE = 1e50
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
@@ -159,8 +154,8 @@ def replicate_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
 
 def sample_inputs(domain, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points uniformly on [0, 1]; ``domain`` must be "unit_interval"."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n must be at least 1 (got {n!r})")
     if domain != "unit_interval":
         raise ValueError(f"unknown domain {domain!r}")
     return rng.random(n)
@@ -230,7 +225,7 @@ def _map_replicates(one, cfg: ExperimentConfig, threads: int) -> dict[int, dict[
     output directory is made.  A job whose solve fails numerically is left out, so
     an n's failures are the replicates missing from its table; any other error propagates.
     """
-    if threads < 0:
+    if not (_is_int(threads) and threads >= 0):
         raise ConfigError(f"threads must be 0 (the CPU count) or positive (got {threads})")
     try:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)

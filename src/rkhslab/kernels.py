@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import Spectrum, _is_int
 
 __all__ = [
     "DomainError",
@@ -55,7 +55,7 @@ HARMONIC_BLOCK = 64
 
 
 class DomainError(ValueError):
-    """A point lies outside the kernel's domain."""
+    """A point lies outside the kernel's domain, or a point set is empty or not 1-d."""
 
 
 class QuadratureError(RuntimeError):
@@ -72,8 +72,11 @@ class SpectralKernel:
     def size(self) -> int:
         return self.spectrum.size
 
-    def _check_domain(self, x: np.ndarray) -> np.ndarray:
+    def _check_domain(self, x) -> np.ndarray:
+        # the one gate for sample points: a number or a non-empty 1-d array in [0, 1]
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim != 1 or len(x) == 0:
+            raise DomainError(f"need at least one sample point on one axis (got shape {x.shape})")
         # written as a negated inclusion so that NaN fails it too
         if not np.all((x >= 0.0) & (x <= 1.0)):
             raise DomainError("points must lie in [0, 1]")
@@ -154,7 +157,7 @@ def gram_matrix(k: SpectralKernel, X, power: float = 1.0) -> np.ndarray:
 
 def multiplicity(d: int, k: int) -> int:
     """Dimension N(d, k) of the degree-k spherical harmonic space on S^d."""
-    if d < 1 or k < 0:
+    if not (_is_int(d) and _is_int(k) and d >= 1 and k >= 0):
         raise ValueError("need d >= 1 and k >= 0")
     n = math.comb(k + d, k)
     if k >= 2:
@@ -178,7 +181,7 @@ def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
     P_k = (2 (k - 1 + nu) t P_{k-1} - (k - 1) P_{k-2}) / (k - 1 + 2 nu)
     from P_0 = 1, P_1 = t.  At nu = 0 this is the Chebyshev recurrence.
     """
-    if d < 1 or k_max < 0:
+    if not (_is_int(d) and _is_int(k_max) and d >= 1 and k_max >= 0):
         raise ValueError(f"need d >= 1 and k_max >= 0 (got d = {d}, k_max = {k_max})")
     nu = 0.5 * (d - 1)
     P = np.empty((k_max + 1, len(t)))
@@ -200,7 +203,7 @@ class DotProductSpectrum:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
-        if self.d < 1:
+        if not (_is_int(self.d) and self.d >= 1):
             raise ValueError("sphere dimension must be at least 1")
         if a.ndim != 1 or len(a) == 0:
             raise ValueError("a must be a non-empty 1-d array")

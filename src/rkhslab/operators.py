@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import SpectralKernel, _features, gram_matrix
-from .spectra import Spectrum, _variance_terms, effective_dimension, embedding_norm
+from .spectra import Spectrum, _is_int, _variance_terms, effective_dimension, embedding_norm
 
 __all__ = [
     "NotInPowerSpace",
@@ -110,10 +110,8 @@ class TruncatedOperatorModel:
 
 
 def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
-    """Assemble the rows psi(x_k) of the sample."""
+    """Assemble the rows psi(x_k) of the sample; the kernel rejects an empty or multi-axis X."""
     psi = _features(kernel, X, 1.0)
-    if len(psi) < 1:
-        raise ValueError("need at least one sample point")
     return TruncatedOperatorModel(kernel=kernel, psi=psi)
 
 
@@ -182,8 +180,6 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     _check_gamma(gamma)
     A = gram_matrix(kernel, X)
     n = len(A)
-    if n < 1:
-        raise ValueError("need at least one sample point")
     A /= n
     # the trace bound on the condition number, without dividing by lambda = 0
     bound_exceeded = np.trace(A) + lam > COND_LIMIT * lam
@@ -210,7 +206,7 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
     if not 0 < lam < np.inf:
         raise ValueError(f"lambda must be positive (got {lam})")
-    if not n >= 1:
+    if not (_is_int(n) and n >= 1):
         raise ValueError(f"n must be at least 1 (got {n})")
     _check_gamma(gamma)
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
@@ -218,7 +214,8 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
 
 def envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n; the log factor is 1 at lambda >= 1."""
-    if not (np.all((lam > 0) & (lam < np.inf)) and n >= 1):
+    lam = np.asarray(lam, dtype=float)
+    if not (np.all((lam > 0) & (lam < np.inf)) and _is_int(n) and n >= 1):
         raise ValueError(f"lambda must be positive and n at least 1 (got {lam}, {n})")
     _check_gamma(gamma)
     if not (1 < beta < np.inf and np.isfinite(zeta)):
@@ -315,7 +312,7 @@ def concentration_trial(
     the empirical covariance against its high-probability bound and (b)
     |V1 - V2| against sqrt(tau) M_alpha^2 / (sqrt(2) n^{3/2} lam^{gamma+alpha}).
     """
-    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in (n, trials)):
+    if not (_is_int(n) and _is_int(trials)):
         raise ValueError(f"n and trials must be integers (got {n!r}, {trials!r})")
     if not n >= 1:
         raise ValueError("need at least one sample point")

@@ -31,6 +31,11 @@ __all__ = [
 TAIL_DPS = 40
 
 
+def _is_int(x) -> bool:
+    """The rule for every count, degree and dimension: an integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 class DivergentEmbedding(ArithmeticError):
     """The embedding series diverges: alpha < alpha*, or alpha = alpha* with zeta <= 1."""
 
@@ -79,7 +84,7 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
         raise ValueError(f"beta must exceed 1 (got {beta}); the trace may diverge")
     if not np.isfinite(zeta):
         raise ValueError(f"zeta must be finite (got {zeta})")
-    if not (isinstance(M, numbers.Integral) and not isinstance(M, bool) and M >= 2):
+    if not (_is_int(M) and M >= 2):
         raise ValueError(f"M must be an integer of at least 2 (got {M!r})")
     i = np.arange(2, M + 1, dtype=float)
     # an infinite term lies above mu_1 = 1, so the running minimum clips it

@@ -51,6 +51,12 @@ class TestSampleInputs:
         with pytest.raises(ValueError, match="n must be at least 1"):
             sample_inputs("unit_interval", 0, replicate_rng(0, 0, 0))
 
+    @pytest.mark.parametrize("n", [3.5, 3.0, True])
+    def test_rejects_a_non_integer_n(self, n):
+        # numpy raised TypeError for a float or a bool
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sample_inputs("unit_interval", n, replicate_rng(0, 3, 0))
+
 
 class TestMakeResponses:
     def test_tiny_noise(self):
@@ -408,6 +414,16 @@ def test_negative_thread_count_is_rejected(tmp_path, run, config):
     cfg = config(tmp_path / "run", seed=9)
     with pytest.raises(ConfigError, match=r"threads must be 0 \(the CPU count\) or positive"):
         run(cfg, threads=-3)
+    assert not Path(cfg.output_dir).exists()
+
+
+@BOTH_EXPERIMENTS
+@pytest.mark.parametrize("threads", [2.5, True])
+def test_a_non_integer_thread_count_is_rejected(tmp_path, run, config, threads):
+    # 2.5 started three workers and True one
+    cfg = config(tmp_path / "run", seed=9)
+    with pytest.raises(ConfigError, match=r"threads must be 0 \(the CPU count\) or positive"):
+        run(cfg, threads=threads)
     assert not Path(cfg.output_dir).exists()
 
 

@@ -191,7 +191,9 @@ class TestGegenbauer:
         with pytest.raises(DomainError):
             dot_product_kernel_eval(DotProductSpectrum(2, [1.0] * 4), 1.5)
 
-    @pytest.mark.parametrize("k, d", [(3, 0), (3, -2), (-1, 2)])
+    @pytest.mark.parametrize(
+        "k, d", [(3, 0), (3, -2), (-1, 2), (3, 2.5), (3, 2.0), (3.0, 2), (3, True)]
+    )
     def test_rejects_bad_dimension_or_degree(self, k, d):
         with pytest.raises(ValueError):
             _gegenbauer_table(k, d, np.atleast_1d(0.3))[k]
@@ -199,6 +201,12 @@ class TestGegenbauer:
     def test_projection_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             project_dot_product_spectrum(ntk_eval, 2, -1)
+
+    @pytest.mark.parametrize("d, k_max", [(2, 4.0), (2.5, 4), (2.0, 4)])
+    def test_projection_rejects_a_non_integer_dimension_or_degree(self, d, k_max):
+        # a float degree raised TypeError, and d = 2.5 gave coefficients for no sphere
+        with pytest.raises(ValueError, match="need d >= 1 and k_max >= 0"):
+            project_dot_product_spectrum(ntk_eval, d, k_max)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
     def test_matches_50_digit_reference(self, d):
@@ -247,7 +255,7 @@ class TestMultiplicity:
             expected = math.comb(k + d, d) + (math.comb(k - 1 + d, d) if k >= 1 else 0)
             assert total == expected
 
-    @pytest.mark.parametrize("d, k", [(0, 1), (1, -1)])
+    @pytest.mark.parametrize("d, k", [(0, 1), (1, -1), (2.0, 3), (2, 3.0), (True, 3), (2, True)])
     def test_rejects_bad_dimension_or_degree(self, d, k):
         with pytest.raises(ValueError, match="need d >= 1 and k >= 0"):
             multiplicity(d, k)
@@ -270,7 +278,12 @@ class TestDotProductKernel:
 
     @pytest.mark.parametrize(
         "d, a, message",
-        [(0, [1.0], "sphere dimension must be at least 1"), (2, [], "a must be a non-empty")],
+        [
+            (0, [1.0], "sphere dimension must be at least 1"),
+            (2, [], "a must be a non-empty"),
+            (2.5, [1.0], "sphere dimension must be at least 1"),
+            (True, [1.0], "sphere dimension must be at least 1"),
+        ],
     )
     def test_rejects_bad_dimension_or_empty_eigenvalues(self, d, a, message):
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import mpmath
@@ -7,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import rkhslab.operators as operators
 from rkhslab import (
+    DomainError,
     IllConditionedGram,
     NotInPowerSpace,
     SampleSet,
@@ -66,6 +68,40 @@ class TestBuildOperatorModel:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="need at least one sample point"):
             build_operator_model(one_mode_kernel(), [])
+
+
+# the kernel's domain check is the one gate for sample points: an empty set, a row, a matrix
+# and an (n, 1) column all fail there (the multi-axis sets failed inside the basis evaluation,
+# or were flattened, and kernel_eval returned a (0, 1) array for an empty set)
+@pytest.mark.parametrize(
+    "X, shape",
+    [([], (0,)), ([[0.1, 0.2]], (1, 2)), (np.zeros((2, 2)), (2, 2)), ([[0.1], [0.2]], (2, 1))],
+    ids=["empty", "row", "matrix", "column"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, X: k.basis_matrix(X),
+        lambda k, X: gram_matrix(k, X),
+        lambda k, X: kernel_eval(k, X, 0.5),
+        lambda k, X: kernel_eval(k, 0.5, X),
+        lambda k, X: build_operator_model(k, X),
+        lambda k, X: v_lambda_gram_route(k, X, 0.5, 0.1),
+    ],
+    ids=[
+        "basis_matrix",
+        "gram_matrix",
+        "kernel_eval_x",
+        "kernel_eval_y",
+        "build_operator_model",
+        "v_lambda_gram_route",
+    ],
+)
+def test_point_sets_that_are_empty_or_multi_axis_fail_at_the_domain_gate(call, X, shape):
+    k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
+    message = f"need at least one sample point on one axis (got shape {shape})"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(k, X)
 
 
 class TestGammaNormSq:
@@ -476,6 +512,12 @@ class TestV2Lambda:
             v2_lambda(s, 0.5, 0.01, 1) / 4.0
         )
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, float("inf")])
+    def test_rejects_a_non_integer_n(self, n):
+        # a float or bool n returned a number
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            v2_lambda(make_power_law_spectrum(2.0, 0.0, 64), 0.5, 0.1, n)
+
     def test_small_lambda_slope(self):
         from rkhslab import fit_loglog_slope
 
@@ -487,7 +529,9 @@ class TestV2Lambda:
 
 
 @pytest.mark.parametrize(
-    "lam, n", [(0.0, 8), (-0.1, 8), (0.1, 0)], ids=["lambda_zero", "lambda_negative", "n_zero"]
+    "lam, n",
+    [(0.0, 8), (-0.1, 8), (0.1, 0), (0.1, 8.5), (0.1, 8.0), (0.1, True)],
+    ids=["lambda_zero", "lambda_negative", "n_zero", "n_fraction", "n_float", "n_bool"],
 )
 def test_envelope_shape_rejects_nonpositive_lambda_or_n(lam, n):
     with pytest.raises(ValueError, match="lambda must be positive and n at least 1"):
@@ -506,6 +550,12 @@ def test_envelope_shape_rejects_a_bad_decay_law(beta, zeta):
     # beta = 0 divided by zero, a NaN gave NaN and beta = -1 gave numbers
     with pytest.raises(ValueError, match="need finite beta > 1 and finite zeta"):
         envelope_shape(np.array([0.1]), 0.5, beta, zeta, 8)
+
+
+def test_envelope_shape_takes_a_list_lambda_as_an_array():
+    # a list lambda raised TypeError from the lambda check
+    expected = envelope_shape(np.array([0.1, 0.2]), 0.5, 2.0, 0.0, 8)
+    np.testing.assert_array_equal(envelope_shape([0.1, 0.2], 0.5, 2.0, 0.0, 8), expected)
 
 
 def test_envelope_shape_above_the_float_range_is_inf():
