@@ -162,10 +162,12 @@ def sample_inputs(domain, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_responses(X, f_star_values, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """y_i = f*(x_i) + sigma xi_i with standard Gaussian noise."""
+    """y_i = f*(x_i) + sigma xi_i, Gaussian xi; f_star_values is None (f* = 0) or one per point."""
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
     f = np.zeros(len(X)) if f_star_values is None else np.asarray(f_star_values, dtype=float)
+    if f.shape != (len(X),):
+        raise ValueError(f"need one f* value per point: shape {f.shape} for X of shape {(len(X),)}")
     return f + sigma * rng.standard_normal(len(X))
 
 

@@ -62,6 +62,16 @@ class QuadratureError(RuntimeError):
     """Quadrature projection failed to converge under order doubling."""
 
 
+def _check_domain(x) -> np.ndarray:
+    """The one gate for sample points: a number or a non-empty 1-d array in [0, 1], no NaN."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1 or len(x) == 0:
+        raise DomainError(f"need at least one sample point on one axis (got shape {x.shape})")
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # a negated inclusion, so that NaN fails it too
+        raise DomainError("points must lie in [0, 1]")
+    return x
+
+
 @dataclass(frozen=True)
 class SpectralKernel:
     """Kernel defined by a spectrum and the cosine basis of L2[0, 1]."""
@@ -72,19 +82,9 @@ class SpectralKernel:
     def size(self) -> int:
         return self.spectrum.size
 
-    def _check_domain(self, x) -> np.ndarray:
-        # the one gate for sample points: a number or a non-empty 1-d array in [0, 1]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim != 1 or len(x) == 0:
-            raise DomainError(f"need at least one sample point on one axis (got shape {x.shape})")
-        # written as a negated inclusion so that NaN fails it too
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise DomainError("points must lie in [0, 1]")
-        return x
-
     def basis_matrix(self, x) -> np.ndarray:
         """Evaluate all basis functions: rows are points, columns indices."""
-        x = self._check_domain(x)
+        x = _check_domain(x)
         E = np.empty((len(x), self.size))
         E[:, 0] = 1.0
         _harmonics(np.pi * x, E[:, 1:])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SpectralKernel, gram_matrix
+from .kernels import SpectralKernel, _check_domain, gram_matrix
 from .operators import gamma_norm_sq
 
 __all__ = [
@@ -37,20 +37,18 @@ class SingularGram(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired inputs and responses."""
+    """Points that pass the kernels' point check (else DomainError), one response per point."""
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_1d(np.asarray(self.X, dtype=float))
+        X = _check_domain(self.X)
         Y = np.atleast_1d(np.asarray(self.Y, dtype=float))
+        if Y.shape != X.shape:
+            raise ValueError(f"need one response per point: Y has shape {Y.shape}, X {X.shape}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        if len(X) != len(Y):
-            raise ValueError("X and Y must have the same length")
-        if len(X) == 0:
-            raise ValueError("need at least one sample")
 
     @property
     def n(self) -> int:

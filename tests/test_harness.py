@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -74,6 +75,17 @@ class TestMakeResponses:
         f = np.array([1.0, 2.0, 3.0])
         y = make_responses(np.zeros(3), f, 1e-12, rng)
         assert np.allclose(y, f, atol=1e-10)
+
+    # any other shape would broadcast against the noise or fail inside numpy, naming neither shape
+    @pytest.mark.parametrize(
+        "f, shape",
+        [([[1.0, 2.0]], "(1, 2)"), ([1.0, 2.0, 3.0], "(3,)"), (1.0, "()")],
+        ids=["row", "too_many", "number"],
+    )
+    def test_rejects_f_star_values_that_are_not_one_per_point(self, f, shape):
+        message = f"shape {shape} for X of shape (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_responses(np.zeros(2), f, 1.0, replicate_rng(0, 2, 0))
 
     def test_rejects_nonpositive_sigma(self):
         # NaN and infinite noise levels would give all-NaN or infinite responses

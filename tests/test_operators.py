@@ -87,6 +87,7 @@ class TestBuildOperatorModel:
         lambda k, X: kernel_eval(k, 0.5, X),
         lambda k, X: build_operator_model(k, X),
         lambda k, X: v_lambda_gram_route(k, X, 0.5, 0.1),
+        lambda k, X: SampleSet(X, np.zeros(np.size(X))),
     ],
     ids=[
         "basis_matrix",
@@ -95,6 +96,7 @@ class TestBuildOperatorModel:
         "kernel_eval_y",
         "build_operator_model",
         "v_lambda_gram_route",
+        "SampleSet",
     ],
 )
 def test_point_sets_that_are_empty_or_multi_axis_fail_at_the_domain_gate(call, X, shape):

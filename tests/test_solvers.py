@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from rkhslab import (
+    DomainError,
     NotInPowerSpace,
     SampleSet,
     SingularGram,
@@ -42,6 +45,28 @@ class TestSampleSet:
 
     def test_count(self):
         assert SampleSet([0.1, 0.2], [1.0, 2.0]).n == 2
+
+    def test_a_number_is_one_point(self):
+        s = SampleSet(0.3, 2.0)
+        assert s.n == 1 and s.X.shape == s.Y.shape == (1,)
+
+    # the points pass the kernels' gate when the sample is built, not at the first kernel call
+    @pytest.mark.parametrize(
+        "X", [[1.5, 0.2], [-0.1, 0.2], [float("nan"), 0.2]], ids=["above", "below", "nan"]
+    )
+    def test_points_outside_the_unit_interval_or_nan_fail_at_the_domain_gate(self, X):
+        with pytest.raises(DomainError, match=r"points must lie in \[0, 1\]"):
+            SampleSet(X, [1.0, 2.0])
+
+    # a column or row Y would give a 2-d alpha, which no error or prediction can use
+    @pytest.mark.parametrize(
+        "X, Y, shapes",
+        [([0.1, 0.2], [[1.0], [2.0]], "(2, 1), X (2,)"), ([0.1], [[1.0, 2.0]], "(1, 2), X (1,)")],
+        ids=["column", "row"],
+    )
+    def test_responses_of_another_shape_than_the_points_are_rejected(self, X, Y, shapes):
+        with pytest.raises(ValueError, match=re.escape(f"Y has shape {shapes}")):
+            SampleSet(X, Y)
 
 
 class TestRidgeFit:
