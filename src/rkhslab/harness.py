@@ -65,14 +65,16 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _is_number(x) -> bool:
-    """An int or float within the float range; JSON true and false are not numbers."""
-    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+def _number(name: str, x):
+    """x as a Python int or float; ConfigError unless it is one within the float range, not a bool."""
+    if not ((_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number")
+    return int(x) if _is_int(x) else float(x)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run, stored as plain Python values (JSON)."""
 
     beta: float
     gamma: float
@@ -88,16 +90,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("beta", "gamma", "sigma", "zeta", "f_star_b1"):
-            if not _is_number(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number")
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         for name in ("truncation", "replicates", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
+        for name in ("n_grid", "lambda_grid"):  # a list, tuple, range or 1-d array of numbers
+            grid = getattr(self, name)
+            grid = grid.tolist() if isinstance(grid, np.ndarray) else grid  # 2-d: nested lists
+            if not isinstance(grid, (list, tuple, range)):
+                raise ConfigError(f"{name} must be a 1-d sequence of numbers")
+            object.__setattr__(self, name, tuple(_number(f"every {name} entry", v) for v in grid))
         if not all(_is_int(n) and n >= 1 for n in self.n_grid):
             raise ConfigError("sample sizes must be positive integers")
-        if not all(_is_number(l) and 0 < l < 0.5 for l in self.lambda_grid):
+        if not all(0 < l < 0.5 for l in self.lambda_grid):
             raise ConfigError("lambda grid entries must lie in (0, 1/2)")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
@@ -121,22 +129,14 @@ class ExperimentConfig:
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
         """The config in the JSON object at ``path``, with the ``overrides`` that are not None."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as err:  # ValueError: not JSON, not UTF-8, a too long int
             raise ConfigError(f"cannot read config {path}: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         raw.update((k, v) for k, v in overrides.items() if v is not None)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("n_grid", "lambda_grid"):
-            if key in raw:
-                if not isinstance(raw[key], list):
-                    raise ConfigError(f"{key} must be a list")
-                raw[key] = tuple(raw[key])
+        if unknown := sorted(set(raw) - set(cls.__dataclass_fields__)):
+            raise ConfigError(f"unknown config keys: {unknown}")
         try:
             return cls(**raw)
         except TypeError as err:
@@ -256,16 +256,15 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     t0 = time.time()
     out = Path(cfg.output_dir)
     kernel = cfg.build_kernel()
-    lam = np.asarray(cfg.lambda_grid, dtype=float)
 
     def one(n: int, r: int) -> np.ndarray:
         X = sample_inputs("unit_interval", n, replicate_rng(cfg.seed, n, r))
         m = build_operator_model(kernel, X)
-        v = [v_lambda_coefficient_route(m, cfg.gamma, l) for l in lam]
-        v1 = [v1_lambda(m, cfg.gamma, l) for l in lam]
+        v = [v_lambda_coefficient_route(m, cfg.gamma, l) for l in cfg.lambda_grid]
+        v1 = [v1_lambda(m, cfg.gamma, l) for l in cfg.lambda_grid]
         del m  # free its factors, the replicate's largest arrays, before the Gram route
-        v2 = [v2_lambda(kernel.spectrum, cfg.gamma, l, n) for l in lam]
-        v_gram = [v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in lam]
+        v2 = [v2_lambda(kernel.spectrum, cfg.gamma, l, n) for l in cfg.lambda_grid]
+        v_gram = [v_lambda_gram_route(kernel, X, cfg.gamma, l) for l in cfg.lambda_grid]
         return np.column_stack([v, v_gram, v1, v2])
 
     table = _map_replicates(one, cfg, threads)
@@ -276,8 +275,8 @@ def run_variance_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         if not by_r:
             continue
         reps = np.array(list(by_r.values()))  # replicate x lambda x column
-        envelope = envelope_shape(lam, cfg.gamma, cfg.beta, cfg.zeta, n)
-        rows = zip(lam, *reps.mean(axis=0).T, envelope)
+        envelope = envelope_shape(cfg.lambda_grid, cfg.gamma, cfg.beta, cfg.zeta, n)
+        rows = zip(cfg.lambda_grid, *reps.mean(axis=0).T, envelope)
         _write_csv(out / f"curve_n{n}.csv", "lambda,v_coeff,v_gram,v1,v2,envelope", rows)
         v, v1 = reps[..., 0], reps[..., 2]
         rel = np.median(np.abs(v - v1) / np.maximum(v1, np.finfo(float).tiny), axis=1)
@@ -319,9 +318,7 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> dic
     succ = [len(vals) for vals in per_n]
     fail = [cfg.replicates - len(vals) for vals in per_n]
 
-    too_many_failures = any(
-        f > MAX_FAILURE_FRACTION * cfg.replicates for f in fail
-    )
+    too_many_failures = any(f > MAX_FAILURE_FRACTION * cfg.replicates for f in fail)
     slope = stderr = None
     if len(cfg.n_grid) >= 3 and not too_many_failures and all(0 < m < np.inf for m in means):
         slope, stderr = fit_loglog_slope(np.array(cfg.n_grid, float), np.array(means))

@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import SpectralKernel, _features, gram_matrix
-from .spectra import Spectrum, _is_int, _variance_terms, effective_dimension, embedding_norm
+from .spectra import Spectrum, _check_lambda, _is_int, _variance_terms, effective_dimension
+from .spectra import embedding_norm
 
 __all__ = [
     "NotInPowerSpace",
@@ -144,9 +145,7 @@ def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
     With psi = U W, the rows of W orthogonal with norms s, e = 1 / (s^2/n + lambda) for every
     lambda >= 0; W is never divided by s, so Z stays finite at a zero singular value.
     """
-    # the lambda checks of this module are negated finite inclusions, so that NaN and inf fail
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be nonnegative (got {lam})")
+    _check_lambda(lam, positive=False)
     U, svals, W = m._svd
     if lam == 0:
         # the inverse on the span of {psi(x_k)} needs n singular values above the cutoff
@@ -175,8 +174,7 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     when that bound exceeds COND_LIMIT are A's eigenvalues computed to decide.
     Algebraically identical to the coefficient route in the truncated model.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be nonnegative (got {lam})")
+    _check_lambda(lam, positive=False)
     _check_gamma(gamma)
     A = gram_matrix(kernel, X)
     n = len(A)
@@ -196,16 +194,14 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
 
 def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """Population-covariance approximation of V at the sampled points."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be positive (got {lam})")
+    _check_lambda(lam, positive=True)
     _check_gamma(gamma)
     return float(np.sum(_variance_terms(m.mu, gamma, lam) * m._e_sq_sums)) / m.n**2
 
 
 def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be positive (got {lam})")
+    _check_lambda(lam, positive=True)
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"n must be at least 1 (got {n})")
     _check_gamma(gamma)
@@ -236,6 +232,7 @@ def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
     """
     w = np.asarray(f_coeffs_H, dtype=float)
     s = kernel.spectrum
+    gamma_norm_sq(np.zeros(len(w)), s, gamma)  # checks gamma and the length before the products
     lhs = np.sqrt(gamma_norm_sq(w * np.sqrt(s.mu[: len(w)]), s, gamma))
     rhs = float(np.linalg.norm(s.mu[: len(w)] ** ((1.0 - gamma) / 2.0) * w))
     return abs(lhs - rhs)

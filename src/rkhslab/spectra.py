@@ -36,6 +36,12 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _check_lambda(lam, positive: bool) -> None:
+    """lambda must be one finite real number, > 0 if ``positive``, else >= 0; NaN fails too."""
+    if not (isinstance(lam, numbers.Real) and 0 <= lam < np.inf and (lam > 0 or not positive)):
+        raise ValueError(f"lambda must be {'positive' if positive else 'nonnegative'} (got {lam})")
+
+
 class DivergentEmbedding(ArithmeticError):
     """The embedding series diverges: alpha < alpha*, or alpha = alpha* with zeta <= 1."""
 
@@ -115,8 +121,7 @@ def _tail_integral(beta: float, zeta: float, M: int) -> float:
 
 def effective_dimension(s: Spectrum, lam: float) -> float:
     """Trace of (C + lambda)^(-1) C, i.e. sum mu_i / (mu_i + lambda)."""
-    if not 0 < lam < np.inf:  # a negated finite inclusion, so that NaN and inf fail it too
-        raise ValueError(f"lambda must be positive (got {lam})")
+    _check_lambda(lam, positive=True)
     return float(np.sum(s.mu / (s.mu + lam)))
 
 

@@ -179,6 +179,47 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="config must be a JSON object"):
             ExperimentConfig.from_json(path)
 
+    # a file that is not UTF-8, and an integer literal longer than Python reads from text
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"beta": 2.0, "gamma": 0.5, "x": "\xff"}', b'{"seed": 1' + b"0" * 5000 + b"}"],
+        ids=["not_utf8", "long_int"],
+    )
+    def test_from_json_unreadable_content(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            ExperimentConfig.from_json(path)
+
+    # a grid is a list, tuple, range or 1-d array of numbers; nothing else is a grid
+    @pytest.mark.parametrize(
+        "key, grid",
+        [
+            ("n_grid", 64),
+            ("lambda_grid", 0.1),
+            ("n_grid", None),
+            ("n_grid", "8"),
+            ("n_grid", {8, 16}),
+            ("lambda_grid", {"a": 0.1}),
+            ("n_grid", [[8, 16]]),
+            ("n_grid", np.array([[8, 16]])),
+            ("n_grid", np.array(8)),
+        ],
+        ids=["number", "lambda_number", "none", "string", "set", "mapping", "nested", "2d", "0d"],
+    )
+    def test_rejects_a_grid_that_is_not_a_1d_sequence_of_numbers(self, tmp_path, key, grid):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(beta=2.0, gamma=0.5, **{key: grid}, output_dir=str(out))
+        assert not out.exists()
+
+    def test_list_grids_are_stored_as_tuples(self):
+        listed = ExperimentConfig(beta=2.0, gamma=0.5, n_grid=[8, 16], lambda_grid=[0.1])
+        twin = ExperimentConfig(beta=2.0, gamma=0.5, n_grid=(8, 16), lambda_grid=(0.1,))
+        assert listed == twin
+        assert hash(listed) == hash(twin)
+        assert listed.n_grid == (8, 16) and listed.lambda_grid == (0.1,)
+
 
 class TestFitLoglogSlope:
     def test_exact_square(self):
@@ -419,6 +460,40 @@ def test_every_output_file_is_independent_of_the_thread_count(tmp_path, run, con
         assert summary == json.loads((out / "summary.json").read_text())
     assert output_files(tmp_path / "threads1") == output_files(tmp_path / "threads2")
     assert output_files(tmp_path / "threads1") == output_files(tmp_path / "threads0")
+
+
+TINY_CONFIG = dict(
+    beta=2.0, gamma=0.5, truncation=64, n_grid=(4, 8, 16), replicates=2, lambda_grid=(0.01, 0.1)
+)
+
+
+# a value of each kind that numpy or range gives, and its twin in tuples of Python numbers
+@pytest.mark.parametrize(
+    "key, value, plain",
+    [
+        ("n_grid", np.array([4, 8, 16]), (4, 8, 16)),
+        ("n_grid", range(4, 17, 4), (4, 8, 12, 16)),
+        ("lambda_grid", np.array([0.01, 0.1]), (0.01, 0.1)),
+        ("seed", np.int64(3), 3),
+        ("truncation", np.int64(64), 64),
+        ("replicates", np.int64(2), 2),
+        ("beta", np.int64(2), 2),
+    ],
+    ids=["n_array", "n_range", "lambda_array", "seed", "truncation", "replicates", "beta"],
+)
+@pytest.mark.parametrize(
+    "run",
+    [run_variance_experiment, run_inconsistency_experiment],
+    ids=["variance", "inconsistency"],
+)
+def test_numpy_values_and_ranges_write_the_outputs_of_their_python_twin(
+    tmp_path, run, key, value, plain
+):
+    for name, v in (("given", value), ("twin", plain)):
+        run(ExperimentConfig(**{**TINY_CONFIG, key: v}, output_dir=str(tmp_path / name)))
+    given = output_files(tmp_path / "given")
+    assert {"summary.json", "plot.py"} <= set(given)
+    assert given == output_files(tmp_path / "twin")
 
 
 @BOTH_EXPERIMENTS
@@ -860,6 +935,7 @@ class TestCli:
             ("inconsistency", {"truncation": 32, "n_grid": [8, 16, 32]}),
             ("variance", {"beta": 200.0, "lambda_grid": [1e-2]}),  # 128^-200 underflows
             ("inconsistency", {"n_grid": "abc"}),
+            ("variance", {"lambda_grid": {"a": 0.1}}),
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, extra):

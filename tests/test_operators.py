@@ -392,6 +392,8 @@ def test_both_routes_reject_negative_lambda(route):
 
 
 NAN_INF = (float("nan"), float("inf"))
+# a lambda is one number: a list or a one-element array is rejected too
+NOT_ONE_LAMBDA = (*NAN_INF, [0.1], np.array([0.1]))
 
 
 @pytest.mark.parametrize(
@@ -399,13 +401,13 @@ NAN_INF = (float("nan"), float("inf"))
     [
         (
             lambda k, X, lam: v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam),
-            NAN_INF,
+            NOT_ONE_LAMBDA,
         ),
-        (lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam), NAN_INF),
-        (lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)), NAN_INF),
-        (lambda k, X, lam: effective_dimension(k.spectrum, lam), NAN_INF),
-        (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), NAN_INF),
-        (lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam), NAN_INF),
+        (lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam), NOT_ONE_LAMBDA),
+        (lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)), NOT_ONE_LAMBDA),
+        (lambda k, X, lam: effective_dimension(k.spectrum, lam), NOT_ONE_LAMBDA),
+        (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), NOT_ONE_LAMBDA),
+        (lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam), NOT_ONE_LAMBDA),
         (lambda k, X, lam: envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, len(X)), NAN_INF),
         (lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan), (float("nan"),)),
     ],
@@ -427,6 +429,10 @@ def test_nan_lambda_rejected(call, bad_values):
     for bad in bad_values:
         with pytest.raises(ValueError, match=r"lambda|n must be at least 1 \(got nan\)"):
             call(k, X, bad)
+    if bad_values is NOT_ONE_LAMBDA:  # the six that take one lambda name the bound it missed
+        message = r"lambda must be (nonnegative|positive) \(got \[0.1\]\)"
+        with pytest.raises(ValueError, match=message):
+            call(k, X, [0.1])
 
 
 # a gamma is one number: a list or a one-element array is rejected too
@@ -584,6 +590,9 @@ class TestNormEq:
             for _ in range(10):
                 f = rng.standard_normal(64)
                 assert norm_eq_check(k, f, gamma) <= 1e-10
+        # more coefficients than modes fail at gamma_norm_sq's length check, not in numpy
+        with pytest.raises(ValueError, match="coefficient vector longer than the spectrum"):
+            norm_eq_check(k, np.ones(65), 0.5)
 
 
 class TestVarianceCurve:
