@@ -40,5 +40,5 @@ for lam, v in zip(grid, V):
 # V is non-increasing in lambda, and for small lambda it tracks the
 # envelope lambda^-(gamma + 1/beta) / n up to constants.
 assert np.all(np.diff(V) <= 1e-10)
-ratio = V / envelope_shape(grid, gamma, beta, 0.0, n)
+ratio = V / envelope_shape(kernel.spectrum, gamma, grid, n)
 print(f"\nV / envelope stays within [{ratio.min():.3f}, {ratio.max():.3f}]")

@@ -203,24 +203,22 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
     _check_lambda(lam, positive=True)
     if not (_is_int(n) and n >= 1):
-        raise ValueError(f"n must be at least 1 (got {n})")
+        raise ValueError(f"n must be an integer of at least 1 (got {n})")
     _check_gamma(gamma)
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
 
 
-def envelope_shape(lam, gamma: float, beta: float, zeta: float, n: int) -> np.ndarray:
-    """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n; the log factor is 1 at lambda >= 1."""
+def envelope_shape(s: Spectrum, gamma: float, lam, n: int) -> np.ndarray:
+    """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n under the law (beta, zeta) of s."""
     lam = np.asarray(lam, dtype=float)
     if not (np.all((lam > 0) & (lam < np.inf)) and _is_int(n) and n >= 1):
         raise ValueError(f"lambda must be positive and n at least 1 (got {lam}, {n})")
     _check_gamma(gamma)
-    if not (1 < beta < np.inf and np.isfinite(zeta)):
-        raise ValueError(f"need finite beta > 1 and finite zeta (got beta = {beta}, zeta = {zeta})")
-    log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)
+    log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)  # the log factor is 1 at lambda >= 1
     with np.errstate(over="ignore", invalid="ignore"):  # a shape above the float range is inf
-        shape = lam ** (-gamma - 1.0 / beta) * log_factor ** (-zeta) / n
+        shape = lam ** (-gamma - 1.0 / s.beta) * log_factor ** (-s.zeta) / n
         # one factor overflowing while the other underflows gives inf * 0: take logs instead
-        logs = np.exp(-(gamma + 1.0 / beta) * np.log(lam) - zeta * np.log(log_factor)) / n
+        logs = np.exp(-(gamma + 1.0 / s.beta) * np.log(lam) - s.zeta * np.log(log_factor)) / n
     return np.where(np.isfinite(shape), shape, logs)
 
 
@@ -309,16 +307,12 @@ def concentration_trial(
     the empirical covariance against its high-probability bound and (b)
     |V1 - V2| against sqrt(tau) M_alpha^2 / (sqrt(2) n^{3/2} lam^{gamma+alpha}).
     """
-    if not (_is_int(n) and _is_int(trials)):
-        raise ValueError(f"n and trials must be integers (got {n!r}, {trials!r})")
-    if not n >= 1:
-        raise ValueError("need at least one sample point")
     if not tau >= 1:
         raise ValueError(f"tau must be at least 1 (got {tau})")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1 (got {trials})")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer of at least 1 (got {trials})")
     spec = kernel.spectrum
-    v2 = v2_lambda(spec, gamma, lam, n)  # checks gamma before it enters the bounds
+    v2 = v2_lambda(spec, gamma, lam, n)  # checks lambda, n and gamma before they enter the bounds
     m_alpha = embedding_norm(kernel, alpha)
     n_eff = effective_dimension(spec, lam)
     mu1 = float(spec.mu[0])

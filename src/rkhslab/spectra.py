@@ -42,19 +42,26 @@ def _check_lambda(lam, positive: bool) -> None:
         raise ValueError(f"lambda must be {'positive' if positive else 'nonnegative'} (got {lam})")
 
 
+def _check_law(beta, zeta) -> None:
+    """The decay law: beta one real number, finite and above 1, and zeta finite; NaN fails both."""
+    if not (isinstance(beta, numbers.Real) and 1 < beta < np.inf and -np.inf < zeta < np.inf):
+        raise ValueError(f"need finite beta > 1 and finite zeta (got beta = {beta}, zeta = {zeta})")
+
+
 class DivergentEmbedding(ArithmeticError):
     """The embedding series diverges: alpha < alpha*, or alpha = alpha* with zeta <= 1."""
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Truncated eigenvalues mu_1 >= mu_2 >= ... > 0 with their declared decay law (beta, zeta)."""
+    """Truncated eigenvalues mu_1 >= ... > 0 and their decay law (beta, zeta), checked when made."""
 
     mu: np.ndarray
     beta: float
     zeta: float
 
     def __post_init__(self):
+        _check_law(self.beta, self.zeta)
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "mu", mu)
         if mu.ndim != 1 or len(mu) == 0:
@@ -86,10 +93,7 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
     enforces the non-increasing convention without changing the asymptotics.
     The discarded tail is estimated from the law by :meth:`Spectrum.tail`.
     """
-    if not beta > 1:  # a negated inclusion, so that NaN fails it too
-        raise ValueError(f"beta must exceed 1 (got {beta}); the trace may diverge")
-    if not np.isfinite(zeta):
-        raise ValueError(f"zeta must be finite (got {zeta})")
+    _check_law(beta, zeta)  # before the profile, where a bad zeta can underflow mu_M
     if not (_is_int(M) and M >= 2):
         raise ValueError(f"M must be an integer of at least 2 (got {M!r})")
     i = np.arange(2, M + 1, dtype=float)
@@ -172,8 +176,7 @@ def theoretical_exponent(gamma: float, beta: float, alpha_star: float) -> Expone
     """Exponent (gamma - 3(alpha* - 1/beta)) / (3 alpha* - 2/beta) with its regime."""
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must lie in [0, 1) (got {gamma})")
-    if not 1 < beta < np.inf:  # before alpha_star, whose range 1/beta sets
-        raise ValueError(f"beta must be finite and exceed 1 (got {beta})")
+    _check_law(beta, 0.0)  # before alpha_star, whose range 1/beta sets; zeta does not enter
     if not 1 / beta - 1e-12 <= alpha_star <= 1 + 1e-12:
         raise ValueError(f"alpha_star must lie in [1/beta, 1] (got {alpha_star})")
     threshold = 3.0 * (alpha_star - 1.0 / beta)

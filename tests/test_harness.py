@@ -478,8 +478,12 @@ TINY_CONFIG = dict(
         ("truncation", np.int64(64), 64),
         ("replicates", np.int64(2), 2),
         ("beta", np.int64(2), 2),
+        ("beta", np.float32(2.2), float(np.float32(2.2))),
     ],
-    ids=["n_array", "n_range", "lambda_array", "seed", "truncation", "replicates", "beta"],
+    ids=[
+        "n_array", "n_range", "lambda_array", "seed", "truncation", "replicates", "beta",
+        "beta_float32",
+    ],
 )
 @pytest.mark.parametrize(
     "run",

@@ -408,7 +408,7 @@ NOT_ONE_LAMBDA = (*NAN_INF, [0.1], np.array([0.1]))
         (lambda k, X, lam: effective_dimension(k.spectrum, lam), NOT_ONE_LAMBDA),
         (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), NOT_ONE_LAMBDA),
         (lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam), NOT_ONE_LAMBDA),
-        (lambda k, X, lam: envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, len(X)), NAN_INF),
+        (lambda k, X, lam: envelope_shape(k.spectrum, 0.5, np.array([0.1, lam]), len(X)), NAN_INF),
         (lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan), (float("nan"),)),
     ],
     ids=[
@@ -427,7 +427,8 @@ def test_nan_lambda_rejected(call, bad_values):
     X = np.random.default_rng(14).random(8)
     # lambda must be finite too; the last case passes NaN as v2_lambda's n
     for bad in bad_values:
-        with pytest.raises(ValueError, match=r"lambda|n must be at least 1 \(got nan\)"):
+        message = r"lambda|n must be an integer of at least 1 \(got nan\)"
+        with pytest.raises(ValueError, match=message):
             call(k, X, bad)
     if bad_values is NOT_ONE_LAMBDA:  # the six that take one lambda name the bound it missed
         message = r"lambda must be (nonnegative|positive) \(got \[0.1\]\)"
@@ -449,7 +450,7 @@ def test_nan_lambda_rejected(call, bad_values):
         lambda k, X, g: v1_lambda(build_operator_model(k, X), g, 0.1),
         lambda k, X, g: v2_lambda(k.spectrum, g, 0.1, len(X)),
         lambda k, X, g: concentration_trial(k, len(X), 0.1, 0.75, 3.0, 3, 0, gamma=g),
-        lambda k, X, g: envelope_shape(np.array([0.1]), g, 2.0, 0.0, len(X)),
+        lambda k, X, g: envelope_shape(k.spectrum, g, np.array([0.1]), len(X)),
         lambda k, X, g: gamma_norm_sq(np.ones(4), k.spectrum, g),
         lambda k, X, g: gamma_error_sq(ridge_fit(k, SampleSet(X, np.ones(len(X))), 0.1), [], g),
     ],
@@ -523,7 +524,7 @@ class TestV2Lambda:
     @pytest.mark.parametrize("n", [2.5, 2.0, True, float("inf")])
     def test_rejects_a_non_integer_n(self, n):
         # a float or bool n returned a number
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match=f"n must be an integer of at least 1 \\(got {n}\\)"):
             v2_lambda(make_power_law_spectrum(2.0, 0.0, 64), 0.5, 0.1, n)
 
     def test_small_lambda_slope(self):
@@ -543,37 +544,25 @@ class TestV2Lambda:
 )
 def test_envelope_shape_rejects_nonpositive_lambda_or_n(lam, n):
     with pytest.raises(ValueError, match="lambda must be positive and n at least 1"):
-        envelope_shape(np.array([0.1, lam]), 0.5, 2.0, 0.0, n)
-
-
-@pytest.mark.parametrize(
-    "beta, zeta",
-    [
-        (0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
-        (2.0, np.nan), (2.0, np.inf),
-    ],
-    ids=["beta_zero", "beta_negative", "beta_one", "beta_nan", "beta_inf", "zeta_nan", "zeta_inf"],
-)
-def test_envelope_shape_rejects_a_bad_decay_law(beta, zeta):
-    # beta = 0 divided by zero, a NaN gave NaN and beta = -1 gave numbers
-    with pytest.raises(ValueError, match="need finite beta > 1 and finite zeta"):
-        envelope_shape(np.array([0.1]), 0.5, beta, zeta, 8)
+        envelope_shape(one_mode_kernel().spectrum, 0.5, np.array([0.1, lam]), n)
 
 
 def test_envelope_shape_takes_a_list_lambda_as_an_array():
     # a list lambda raised TypeError from the lambda check
-    expected = envelope_shape(np.array([0.1, 0.2]), 0.5, 2.0, 0.0, 8)
-    np.testing.assert_array_equal(envelope_shape([0.1, 0.2], 0.5, 2.0, 0.0, 8), expected)
+    s = one_mode_kernel().spectrum
+    expected = envelope_shape(s, 0.5, np.array([0.1, 0.2]), 8)
+    np.testing.assert_array_equal(envelope_shape(s, 0.5, [0.1, 0.2], 8), expected)
 
 
 def test_envelope_shape_above_the_float_range_is_inf():
     # log(1e6)^266 exceeds the float range; no RuntimeWarning (warnings are errors)
-    shape = envelope_shape(np.array([1e-6, 1e-1]), 0.5, 1.125, -266.0, 1)
+    shape = envelope_shape(Spectrum(np.ones(1), 1.125, -266.0), 0.5, np.array([1e-6, 1e-1]), 1)
     assert shape[0] == np.inf and np.isfinite(shape[1])
     # 1e-300^-(0.5 + 1/1.1) overflows while log(1e300)^-200 underflows: the shape is finite
     lam, gamma, beta, zeta, n = 1e-300, 0.5, 1.1, 200.0, 128
     exact = mpmath.mpf(lam) ** (-gamma - 1 / beta) * mpmath.log(1 / mpmath.mpf(lam)) ** -zeta / n
-    assert envelope_shape(np.array([lam]), gamma, beta, zeta, n)[0] == pytest.approx(
+    s = Spectrum(np.ones(1), beta, zeta)
+    assert envelope_shape(s, gamma, np.array([lam]), n)[0] == pytest.approx(
         float(exact), rel=1e-10
     )
 
@@ -604,7 +593,7 @@ class TestVarianceCurve:
 
     def test_envelope_finite_for_lambda_at_least_one(self):
         lam = np.array([0.1, 2.0])
-        env = envelope_shape(lam, 0.5, 2.0, 0.5, 8)
+        env = envelope_shape(Spectrum(np.ones(1), 2.0, 0.5), 0.5, lam, 8)
         assert np.all(np.isfinite(env))
         # the log factor is dropped at lambda >= 1, as in the harness's curve files
         expected = lam ** (-0.5 - 0.5) * np.array([np.log(10.0) ** -0.5, 1.0]) / 8
@@ -727,7 +716,7 @@ class TestConcentration:
             concentration_trial(k, n=16, lam=0.1, alpha=0.75, tau=3.0, trials=0, rng_seed=0)
 
     def test_rejects_an_empty_sample(self):
-        with pytest.raises(ValueError, match="need at least one sample point"):
+        with pytest.raises(ValueError, match=r"n must be an integer of at least 1 \(got 0\)"):
             concentration_trial(one_mode_kernel(), 0, 0.1, 0.75, 3.0, 2, 0)
 
     @pytest.mark.parametrize("name", ["n", "trials"])
@@ -735,5 +724,6 @@ class TestConcentration:
     def test_rejects_a_non_integer_count(self, name, bad):
         # 8.5 used to fail inside numpy with a TypeError; True would count as 1
         args = {"n": 8, "lam": 0.1, "alpha": 0.75, "tau": 3.0, "trials": 2, "rng_seed": 0}
-        with pytest.raises(ValueError, match="n and trials must be integers"):
+        message = rf"{name} must be an integer of at least 1 \(got {bad}\)"
+        with pytest.raises(ValueError, match=message):
             concentration_trial(one_mode_kernel(), **{**args, name: bad})

@@ -15,6 +15,9 @@ from rkhslab import (
 )
 from rkhslab.spectra import _tail_integral
 
+# the one message of the decay-law check
+BAD_LAW = "need finite beta > 1 and finite zeta"
+
 
 class TestMakePowerLawSpectrum:
     def test_beta2_first_values(self):
@@ -41,9 +44,9 @@ class TestMakePowerLawSpectrum:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((np.nan,), r"beta must exceed 1 \(got nan\)"),
-            ((2.0, np.nan, 16), r"zeta must be finite \(got nan\)"),
-            ((2.0, np.inf, 16), r"zeta must be finite \(got inf\)"),
+            ((np.nan,), BAD_LAW + r" \(got beta = nan, zeta = 0.0\)"),
+            ((2.0, np.nan, 16), BAD_LAW + r" \(got beta = 2.0, zeta = nan\)"),
+            ((2.0, np.inf, 16), BAD_LAW + r" \(got beta = 2.0, zeta = inf\)"),
             ((2.0, 0.0, 10.5), r"M must be an integer of at least 2 \(got 10.5\)"),
             ((2.0, 0.0, True), r"M must be an integer of at least 2 \(got True\)"),
             ((100.0, 0.0, 4096), r"mu_M underflows to 0 at beta = 100.0, zeta = 0.0, M = 4096"),
@@ -66,6 +69,22 @@ class TestMakePowerLawSpectrum:
     def test_spectrum_rejects_invalid_eigenvalues(self, mu, message):
         with pytest.raises(ValueError, match=message):
             Spectrum(np.array(mu), beta=2.0, zeta=0.0)
+
+    @pytest.mark.parametrize(
+        "beta, zeta",
+        [
+            (0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+            (2.0, np.nan), (2.0, np.inf),
+        ],
+        ids=[
+            "beta_zero", "beta_negative", "beta_one", "beta_nan", "beta_inf", "zeta_nan", "zeta_inf"
+        ],
+    )
+    def test_spectrum_rejects_a_bad_decay_law(self, beta, zeta):
+        # beta = NaN was accepted and gave a finite embedding norm M_0.75 = 1.70, and
+        # zeta = inf was accepted and its tail() raised a ValueError with an empty message
+        with pytest.raises(ValueError, match=BAD_LAW):
+            Spectrum(np.ones(1), beta, zeta)
 
     def test_overflowing_term_is_clipped_to_mu_1(self):
         # (2 (log 2)^971)^-2 exceeds the float range; no RuntimeWarning (warnings are errors)
@@ -316,7 +335,7 @@ class TestTheoreticalExponent:
     @pytest.mark.parametrize("beta", [np.nan, np.inf, 1.0, 0.5])
     def test_rejects_beta_before_alpha_star(self, beta):
         # the range of alpha_star is set by beta, so a bad beta is named, not alpha_star
-        with pytest.raises(ValueError, match="beta must be finite and exceed 1"):
+        with pytest.raises(ValueError, match=BAD_LAW):
             theoretical_exponent(0.5, beta, 0.5)
 
 
