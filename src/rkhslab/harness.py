@@ -44,7 +44,8 @@ from .operators import (
     v_lambda_gram_route,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
-from .spectra import _is_int, embedding_index, make_power_law_spectrum, theoretical_exponent
+from .spectra import _check_count, _is_int, embedding_index, make_power_law_spectrum
+from .spectra import theoretical_exponent
 
 __all__ = [
     "ConfigError",
@@ -92,38 +93,30 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("beta", "gamma", "sigma", "zeta", "f_star_b1"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
-        for name in ("truncation", "replicates", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(getattr(self, name)))
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
-        for name in ("n_grid", "lambda_grid"):  # a list, tuple, range or 1-d array of numbers
-            grid = getattr(self, name)
-            grid = grid.tolist() if isinstance(grid, np.ndarray) else grid  # 2-d: nested lists
-            if not isinstance(grid, (list, tuple, range)):
-                raise ConfigError(f"{name} must be a 1-d sequence of numbers")
-            object.__setattr__(self, name, tuple(_number(f"every {name} entry", v) for v in grid))
-        if not all(_is_int(n) and n >= 1 for n in self.n_grid):
-            raise ConfigError("sample sizes must be positive integers")
-        if not all(0 < l < 0.5 for l in self.lambda_grid):
-            raise ConfigError("lambda grid entries must lie in (0, 1/2)")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
         if not 0 < self.sigma <= MAX_AMPLITUDE:
             raise ConfigError(f"sigma must lie in (0, {MAX_AMPLITUDE:g}]")
         if not abs(self.f_star_b1) <= MAX_AMPLITUDE:
             raise ConfigError(f"f_star_b1 must lie in [-{MAX_AMPLITUDE:g}, {MAX_AMPLITUDE:g}]")
-        if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ConfigError("n_grid must be non-empty and strictly increasing")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        try:
+        try:  # a config reports every ValueError below, the count rule's included, as a ConfigError
+            for name, low in (("truncation", 2), ("replicates", 1), ("seed", 0)):
+                object.__setattr__(self, name, _check_count(name, getattr(self, name), low))
+            for name, entry in (("n_grid", _check_count), ("lambda_grid", _number)):
+                grid = getattr(self, name)  # a list, tuple, range or 1-d array
+                grid = grid.tolist() if isinstance(grid, np.ndarray) else grid  # 2-d: nested lists
+                if not isinstance(grid, (list, tuple, range)):
+                    raise ConfigError(f"{name} must be a 1-d sequence of numbers")
+                object.__setattr__(self, name, tuple(entry(f"every {name} entry", v) for v in grid))
             spec = make_power_law_spectrum(self.beta, self.zeta, self.truncation)
         except (ValueError, ArithmeticError) as err:
-            raise ConfigError(f"cannot build the kernel: {err}") from err
+            raise ConfigError(str(err)) from err
+        if not all(0 < l < 0.5 for l in self.lambda_grid):
+            raise ConfigError("lambda grid entries must lie in (0, 1/2)")
+        if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError("n_grid must be non-empty and strictly increasing")
         object.__setattr__(self, "_kernel", SpectralKernel(spectrum=spec))
 
     @classmethod
@@ -155,8 +148,7 @@ def replicate_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
 
 def sample_inputs(domain, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points uniformly on [0, 1]; ``domain`` must be "unit_interval"."""
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"n must be at least 1 (got {n!r})")
+    _check_count("n", n)
     if domain != "unit_interval":
         raise ValueError(f"unknown domain {domain!r}")
     return rng.random(n)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum, _is_int
+from .spectra import Spectrum, _check_count
 
 __all__ = [
     "DomainError",
@@ -157,8 +157,8 @@ def gram_matrix(k: SpectralKernel, X, power: float = 1.0) -> np.ndarray:
 
 def multiplicity(d: int, k: int) -> int:
     """Dimension N(d, k) of the degree-k spherical harmonic space on S^d."""
-    if not (_is_int(d) and _is_int(k) and d >= 1 and k >= 0):
-        raise ValueError("need d >= 1 and k >= 0")
+    _check_count("d", d)
+    _check_count("k", k, 0)
     n = math.comb(k + d, k)
     if k >= 2:
         n -= math.comb(k - 2 + d, k - 2)
@@ -180,9 +180,8 @@ def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
     nu = (d - 1) / 2, divided through by their values at 1:
     P_k = (2 (k - 1 + nu) t P_{k-1} - (k - 1) P_{k-2}) / (k - 1 + 2 nu)
     from P_0 = 1, P_1 = t.  At nu = 0 this is the Chebyshev recurrence.
+    The callers have checked d >= 1 and k_max >= 0 by the count rule.
     """
-    if not (_is_int(d) and _is_int(k_max) and d >= 1 and k_max >= 0):
-        raise ValueError(f"need d >= 1 and k_max >= 0 (got d = {d}, k_max = {k_max})")
     nu = 0.5 * (d - 1)
     P = np.empty((k_max + 1, len(t)))
     P[0] = 1.0
@@ -201,10 +200,9 @@ class DotProductSpectrum:
     a: np.ndarray
 
     def __post_init__(self):
+        _check_count("d", self.d)
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
-        if not (_is_int(self.d) and self.d >= 1):
-            raise ValueError("sphere dimension must be at least 1")
         if a.ndim != 1 or len(a) == 0:
             raise ValueError("a must be a non-empty 1-d array")
         if not np.all(a >= 0):  # a negated inclusion, so that NaN fails it too
@@ -239,6 +237,8 @@ def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:
     # scipy.special is imported here, its only use, to keep it out of the package import
     from scipy.special import roots_jacobi
 
+    _check_count("d", d)  # before the quadrature, whose Jacobi weight needs d >= 1
+    _check_count("k_max", k_max, 0)
     quad_order = max(2 * (k_max + 1), QUAD_MIN_ORDER)
 
     def coeffs(order: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import SpectralKernel, _features, gram_matrix
-from .spectra import Spectrum, _check_lambda, _is_int, _variance_terms, effective_dimension
+from .spectra import Spectrum, _check_count, _check_lambda, _variance_terms, effective_dimension
 from .spectra import embedding_norm
 
 __all__ = [
@@ -202,8 +202,7 @@ def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
 def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
     _check_lambda(lam, positive=True)
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"n must be an integer of at least 1 (got {n})")
+    _check_count("n", n)
     _check_gamma(gamma)
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
 
@@ -211,8 +210,9 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
 def envelope_shape(s: Spectrum, gamma: float, lam, n: int) -> np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n under the law (beta, zeta) of s."""
     lam = np.asarray(lam, dtype=float)
-    if not (np.all((lam > 0) & (lam < np.inf)) and _is_int(n) and n >= 1):
-        raise ValueError(f"lambda must be positive and n at least 1 (got {lam}, {n})")
+    if not np.all((lam > 0) & (lam < np.inf)):  # a negated inclusion, so that NaN fails too
+        raise ValueError(f"lambda must be positive (got {lam})")
+    _check_count("n", n)
     _check_gamma(gamma)
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)  # the log factor is 1 at lambda >= 1
     with np.errstate(over="ignore", invalid="ignore"):  # a shape above the float range is inf
@@ -309,8 +309,7 @@ def concentration_trial(
     """
     if not tau >= 1:
         raise ValueError(f"tau must be at least 1 (got {tau})")
-    if not (_is_int(trials) and trials >= 1):
-        raise ValueError(f"trials must be an integer of at least 1 (got {trials})")
+    _check_count("trials", trials)
     spec = kernel.spectrum
     v2 = v2_lambda(spec, gamma, lam, n)  # checks lambda, n and gamma before they enter the bounds
     m_alpha = embedding_norm(kernel, alpha)

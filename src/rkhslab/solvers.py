@@ -78,7 +78,7 @@ def ridge_fit(
     """
     _check_lambda(lam, positive=False)
     if not 0 <= jitter < np.inf:  # a negated finite inclusion, so that NaN and inf fail it too
-        raise ValueError("lambda and jitter must be nonnegative")
+        raise ValueError(f"jitter must be nonnegative and finite (got {jitter})")
     # imported on the first solve, not at import (0.3 s); its in-place Cholesky is 2x numpy's
     from scipy.linalg import cho_factor, cho_solve
 

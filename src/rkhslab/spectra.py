@@ -32,8 +32,15 @@ TAIL_DPS = 40
 
 
 def _is_int(x) -> bool:
-    """The rule for every count, degree and dimension: an integer that is not a bool."""
+    """An integer that is not a bool: the type half of the count rule :func:`_check_count`."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_count(name: str, x, low: int = 1) -> int:
+    """x as a Python int if it is a count: an integer, not a bool, of at least ``low``."""
+    if not (_is_int(x) and x >= low):
+        raise ValueError(f"{name} must be an integer of at least {low} (got {x!r})")
+    return int(x)
 
 
 def _check_lambda(lam, positive: bool) -> None:
@@ -43,8 +50,9 @@ def _check_lambda(lam, positive: bool) -> None:
 
 
 def _check_law(beta, zeta) -> None:
-    """The decay law: beta one real number, finite and above 1, and zeta finite; NaN fails both."""
-    if not (isinstance(beta, numbers.Real) and 1 < beta < np.inf and -np.inf < zeta < np.inf):
+    """The decay law: beta and zeta one real number each, beta finite and above 1, zeta finite."""
+    real = isinstance(beta, numbers.Real) and isinstance(zeta, numbers.Real)
+    if not (real and 1 < beta < np.inf and -np.inf < zeta < np.inf):  # NaN fails both
         raise ValueError(f"need finite beta > 1 and finite zeta (got beta = {beta}, zeta = {zeta})")
 
 
@@ -94,8 +102,7 @@ def make_power_law_spectrum(beta: float, zeta: float = 0.0, M: int = 10_000) -> 
     The discarded tail is estimated from the law by :meth:`Spectrum.tail`.
     """
     _check_law(beta, zeta)  # before the profile, where a bad zeta can underflow mu_M
-    if not (_is_int(M) and M >= 2):
-        raise ValueError(f"M must be an integer of at least 2 (got {M!r})")
+    _check_count("M", M, 2)
     i = np.arange(2, M + 1, dtype=float)
     # an infinite term lies above mu_1 = 1, so the running minimum clips it
     with np.errstate(over="ignore", divide="ignore"):
@@ -174,7 +181,7 @@ class ExponentReport:
 
 def theoretical_exponent(gamma: float, beta: float, alpha_star: float) -> ExponentReport:
     """Exponent (gamma - 3(alpha* - 1/beta)) / (3 alpha* - 2/beta) with its regime."""
-    if not 0 <= gamma < 1:
+    if not (isinstance(gamma, numbers.Real) and 0 <= gamma < 1):  # NaN fails too
         raise ValueError(f"gamma must lie in [0, 1) (got {gamma})")
     _check_law(beta, 0.0)  # before alpha_star, whose range 1/beta sets; zeta does not enter
     if not 1 / beta - 1e-12 <= alpha_star <= 1 + 1e-12:

@@ -49,13 +49,13 @@ class TestSampleInputs:
             sample_inputs("torus", 5, replicate_rng(0, 5, 0))
 
     def test_rejects_an_empty_sample(self):
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match=r"n must be an integer of at least 1 \(got 0\)"):
             sample_inputs("unit_interval", 0, replicate_rng(0, 0, 0))
 
     @pytest.mark.parametrize("n", [3.5, 3.0, True])
     def test_rejects_a_non_integer_n(self, n):
         # numpy raised TypeError for a float or a bool
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match=rf"n must be an integer of at least 1 \(got {n}\)"):
             sample_inputs("unit_interval", n, replicate_rng(0, 3, 0))
 
 
@@ -124,6 +124,18 @@ class TestExperimentConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, low", [("truncation", 2), ("replicates", 1), ("seed", 0), ("n_grid", 1)]
+    )
+    def test_rejects_a_count_field_by_the_count_rule(self, field, low):
+        # each field had its own message, and a bool n_grid entry was "not a finite number"
+        name = "every n_grid entry" if field == "n_grid" else field
+        for bad in (low - 1, 2.5, 2.0, True):
+            message = re.escape(f"{name} must be an integer of at least {low} (got {bad!r})")
+            value = (bad,) if field == "n_grid" else bad
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig(beta=2.0, gamma=0.5, **{field: value})
 
     def test_underflowing_spectrum_error_names_beta(self):
         with pytest.raises(ConfigError, match="beta = 100.0"):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -165,6 +166,12 @@ def test_rejects_nan_or_negative_power_and_eigenvalue(cosine_kernel, bad):
         DotProductSpectrum(d=2, a=[1.0, bad])
 
 
+def count_message(name, d, k):
+    """The count rule's message, as a regex, for the dimension d (at least 1) or a degree k."""
+    low, bad = (1, d) if name == "d" else (0, k)
+    return re.escape(f"{name} must be an integer of at least {low} (got {bad!r})")
+
+
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
         t = np.linspace(-1, 1, 11)
@@ -192,20 +199,28 @@ class TestGegenbauer:
             dot_product_kernel_eval(DotProductSpectrum(2, [1.0] * 4), 1.5)
 
     @pytest.mark.parametrize(
-        "k, d", [(3, 0), (3, -2), (-1, 2), (3, 2.5), (3, 2.0), (3.0, 2), (3, True)]
+        "k, d, name",
+        [
+            (3, 0, "d"), (3, -2, "d"), (-1, 2, "k_max"), (3, 2.5, "d"), (3, 2.0, "d"),
+            (3.0, 2, "k_max"), (3, True, "d"),
+        ],
     )
-    def test_rejects_bad_dimension_or_degree(self, k, d):
-        with pytest.raises(ValueError):
-            _gegenbauer_table(k, d, np.atleast_1d(0.3))[k]
+    def test_rejects_bad_dimension_or_degree(self, k, d, name):
+        # checked by the public projection, before its quadrature
+        with pytest.raises(ValueError, match=count_message(name, d, k)):
+            project_dot_product_spectrum(ntk_eval, d, k)
 
     def test_projection_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             project_dot_product_spectrum(ntk_eval, 2, -1)
 
-    @pytest.mark.parametrize("d, k_max", [(2, 4.0), (2.5, 4), (2.0, 4)])
-    def test_projection_rejects_a_non_integer_dimension_or_degree(self, d, k_max):
-        # a float degree raised TypeError, and d = 2.5 gave coefficients for no sphere
-        with pytest.raises(ValueError, match="need d >= 1 and k_max >= 0"):
+    @pytest.mark.parametrize(
+        "d, k_max, name", [(2, 4.0, "k_max"), (2.5, 4, "d"), (2.0, 4, "d"), (0, 4, "d")]
+    )
+    def test_projection_rejects_a_non_integer_dimension_or_degree(self, d, k_max, name):
+        # a float degree raised TypeError, d = 2.5 gave coefficients for no sphere,
+        # and d = 0 reached the quadrature, which raised scipy's message on alpha and beta
+        with pytest.raises(ValueError, match=count_message(name, d, k_max)):
             project_dot_product_spectrum(ntk_eval, d, k_max)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
@@ -255,9 +270,13 @@ class TestMultiplicity:
             expected = math.comb(k + d, d) + (math.comb(k - 1 + d, d) if k >= 1 else 0)
             assert total == expected
 
-    @pytest.mark.parametrize("d, k", [(0, 1), (1, -1), (2.0, 3), (2, 3.0), (True, 3), (2, True)])
-    def test_rejects_bad_dimension_or_degree(self, d, k):
-        with pytest.raises(ValueError, match="need d >= 1 and k >= 0"):
+    @pytest.mark.parametrize(
+        "d, k, name",
+        [(0, 1, "d"), (1, -1, "k"), (2.0, 3, "d"), (2, 3.0, "k"), (True, 3, "d"), (2, True, "k")],
+    )
+    def test_rejects_bad_dimension_or_degree(self, d, k, name):
+        # multiplicity(2, 1.0) said "need d >= 1 and k >= 0", which did not name k
+        with pytest.raises(ValueError, match=count_message(name, d, k)):
             multiplicity(d, k)
 
 
@@ -279,10 +298,10 @@ class TestDotProductKernel:
     @pytest.mark.parametrize(
         "d, a, message",
         [
-            (0, [1.0], "sphere dimension must be at least 1"),
+            (0, [1.0], r"d must be an integer of at least 1 \(got 0\)"),
             (2, [], "a must be a non-empty"),
-            (2.5, [1.0], "sphere dimension must be at least 1"),
-            (True, [1.0], "sphere dimension must be at least 1"),
+            (2.5, [1.0], r"d must be an integer of at least 1 \(got 2.5\)"),
+            (True, [1.0], r"d must be an integer of at least 1 \(got True\)"),
         ],
     )
     def test_rejects_bad_dimension_or_empty_eigenvalues(self, d, a, message):

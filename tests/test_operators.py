@@ -538,12 +538,20 @@ class TestV2Lambda:
 
 
 @pytest.mark.parametrize(
-    "lam, n",
-    [(0.0, 8), (-0.1, 8), (0.1, 0), (0.1, 8.5), (0.1, 8.0), (0.1, True)],
+    "lam, n, message",
+    [
+        (0.0, 8, r"lambda must be positive \(got \[0.1 0. \]\)"),
+        (-0.1, 8, r"lambda must be positive \(got \[ 0.1 -0.1\]\)"),
+        (0.1, 0, r"n must be an integer of at least 1 \(got 0\)"),
+        (0.1, 8.5, r"n must be an integer of at least 1 \(got 8.5\)"),
+        (0.1, 8.0, r"n must be an integer of at least 1 \(got 8.0\)"),
+        (0.1, True, r"n must be an integer of at least 1 \(got True\)"),
+    ],
     ids=["lambda_zero", "lambda_negative", "n_zero", "n_fraction", "n_float", "n_bool"],
 )
-def test_envelope_shape_rejects_nonpositive_lambda_or_n(lam, n):
-    with pytest.raises(ValueError, match="lambda must be positive and n at least 1"):
+def test_envelope_shape_rejects_nonpositive_lambda_or_n(lam, n, message):
+    # one message named both arguments
+    with pytest.raises(ValueError, match=message):
         envelope_shape(one_mode_kernel().spectrum, 0.5, np.array([0.1, lam]), n)
 
 

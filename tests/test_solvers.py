@@ -95,7 +95,9 @@ class TestRidgeFit:
 
     @pytest.mark.parametrize("jitter", [-0.1, float("nan"), float("inf")])
     def test_rejects_a_negative_or_non_finite_jitter(self, jitter):
-        with pytest.raises(ValueError, match="lambda and jitter must be nonnegative"):
+        # the message named lambda, which has its own rule
+        message = rf"^jitter must be nonnegative and finite \(got {jitter}\)$"
+        with pytest.raises(ValueError, match=message):
             ridge_fit(constant_kernel(), SampleSet([0.3], [1.0]), 0.0, jitter=jitter)
 
     def test_linearity_in_y(self, cosine_kernel):

@@ -74,15 +74,18 @@ class TestMakePowerLawSpectrum:
         "beta, zeta",
         [
             (0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
-            (2.0, np.nan), (2.0, np.inf),
+            (2.0, np.nan), (2.0, np.inf), (2.0, np.array([0.5])), (2.0, "0"), (2.0, 1j),
         ],
         ids=[
-            "beta_zero", "beta_negative", "beta_one", "beta_nan", "beta_inf", "zeta_nan", "zeta_inf"
+            "beta_zero", "beta_negative", "beta_one", "beta_nan", "beta_inf",
+            "zeta_nan", "zeta_inf", "zeta_array", "zeta_string", "zeta_complex",
         ],
     )
     def test_spectrum_rejects_a_bad_decay_law(self, beta, zeta):
-        # beta = NaN was accepted and gave a finite embedding norm M_0.75 = 1.70, and
-        # zeta = inf was accepted and its tail() raised a ValueError with an empty message
+        # beta = NaN was accepted and gave a finite embedding norm M_0.75 = 1.70,
+        # zeta = inf was accepted and its tail() raised a ValueError with an empty message,
+        # a one-element array zeta was stored as an array, and a string or complex
+        # zeta raised TypeError
         with pytest.raises(ValueError, match=BAD_LAW):
             Spectrum(np.ones(1), beta, zeta)
 
@@ -321,6 +324,14 @@ class TestTheoreticalExponent:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             theoretical_exponent(1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "gamma", [np.array([0.5]), [0.5], "0.5"], ids=["array", "list", "string"]
+    )
+    def test_rejects_a_gamma_that_is_not_one_real_number(self, gamma):
+        # the array gave an array exponent; the list and the string raised TypeError
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+            theoretical_exponent(gamma, 2.0, 0.5)
 
     def test_no_divergence_case(self):
         # threshold 3 (0.9 - 0.5) = 1.2 exceeds gamma: (0.1 - 1.2) / (2.7 - 1)
