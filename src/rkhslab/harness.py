@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -44,8 +43,8 @@ from .operators import (
     v_lambda_gram_route,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
-from .spectra import _check_count, _is_int, embedding_index, make_power_law_spectrum
-from .spectra import theoretical_exponent
+from .spectra import _check_count, _check_real, _is_int, embedding_index
+from .spectra import make_power_law_spectrum, theoretical_exponent
 
 __all__ = [
     "ConfigError",
@@ -60,18 +59,18 @@ __all__ = [
 MAX_FAILURE_FRACTION = 0.2
 # bound on sigma and |f_star_b1|: errors grow as their squares, which np.std squares again
 MAX_AMPLITUDE = 1e50
+# the interval of every real config field
+_REAL_FIELDS = {
+    "beta": "(1, inf)",
+    "gamma": "[0, 1)",
+    "sigma": f"(0, {MAX_AMPLITUDE:g}]",
+    "zeta": "(-inf, inf)",
+    "f_star_b1": f"[-{MAX_AMPLITUDE:g}, {MAX_AMPLITUDE:g}]",
+}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _number(name: str, x):
-    """x as a Python int or float; ConfigError unless it is one within the float range, not a bool."""
-    x = float(x) if isinstance(x, np.floating) else x  # float32 <= float max warns in a cast
-    if not ((_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max):
-        raise ConfigError(f"{name} must be a finite number")
-    return int(x) if _is_int(x) else float(x)
 
 
 @dataclass(frozen=True)
@@ -91,32 +90,28 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "sigma", "zeta", "f_star_b1"):
-            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
-        if not 0 <= self.gamma < 1:
-            raise ConfigError("gamma must lie in [0, 1)")
-        if not 0 < self.sigma <= MAX_AMPLITUDE:
-            raise ConfigError(f"sigma must lie in (0, {MAX_AMPLITUDE:g}]")
-        if not abs(self.f_star_b1) <= MAX_AMPLITUDE:
-            raise ConfigError(f"f_star_b1 must lie in [-{MAX_AMPLITUDE:g}, {MAX_AMPLITUDE:g}]")
-        try:  # a config reports every ValueError below, the count rule's included, as a ConfigError
+        try:  # a config reports every ValueError below, the rules' included, as a ConfigError
+            for name, interval in _REAL_FIELDS.items():
+                object.__setattr__(self, name, _check_real(name, getattr(self, name), interval))
             for name, low in (("truncation", 2), ("replicates", 1), ("seed", 0)):
                 object.__setattr__(self, name, _check_count(name, getattr(self, name), low))
-            for name, entry in (("n_grid", _check_count), ("lambda_grid", _number)):
+            grids = (("n_grid", _check_count, 1), ("lambda_grid", _check_real, "(0, 0.5)"))
+            for name, entry, bound in grids:
                 grid = getattr(self, name)  # a list, tuple, range or 1-d array
                 grid = grid.tolist() if isinstance(grid, np.ndarray) else grid  # 2-d: nested lists
                 if not isinstance(grid, (list, tuple, range)):
                     raise ConfigError(f"{name} must be a 1-d sequence of numbers")
-                object.__setattr__(self, name, tuple(entry(f"every {name} entry", v) for v in grid))
+                checked = tuple(entry(f"every {name} entry", v, bound) for v in grid)
+                object.__setattr__(self, name, checked)
             spec = make_power_law_spectrum(self.beta, self.zeta, self.truncation)
         except (ValueError, ArithmeticError) as err:
             raise ConfigError(str(err)) from err
-        if not all(0 < l < 0.5 for l in self.lambda_grid):
-            raise ConfigError("lambda grid entries must lie in (0, 1/2)")
         if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be non-empty and strictly increasing")
+        if (n := self.n_grid[-1]) * self.truncation * 8 > np.iinfo(np.intp).max:  # numpy's limit
+            raise ConfigError(f"an n x truncation float64 basis is too big for numpy at n = {n}")
         object.__setattr__(self, "_kernel", SpectralKernel(spectrum=spec))
 
     @classmethod
@@ -156,8 +151,7 @@ def sample_inputs(domain, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def make_responses(X, f_star_values, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """y_i = f*(x_i) + sigma xi_i, Gaussian xi; f_star_values is None (f* = 0) or one per point."""
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    sigma = _check_real("sigma", sigma, "(0, inf)")
     f = np.zeros(len(X)) if f_star_values is None else np.asarray(f_star_values, dtype=float)
     if f.shape != (len(X),):
         raise ValueError(f"need one f* value per point: shape {f.shape} for X of shape {(len(X),)}")

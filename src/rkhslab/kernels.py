@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum, _check_count
+from .spectra import Spectrum, _check_count, _check_real
 
 __all__ = [
     "DomainError",
@@ -133,8 +133,7 @@ def _harmonics(theta: np.ndarray, out: np.ndarray):
 
 def _features(k: SpectralKernel, x, power: float) -> np.ndarray:
     """Rows sqrt(mu^power) e(x): the feature maps of the kernel with eigenvalues mu^power."""
-    if not power >= 0:  # a negated inclusion, so that NaN fails it too
-        raise ValueError(f"power must be nonnegative (got {power})")
+    power = _check_real("power", power, "[0, inf)")
     P = k.basis_matrix(x)
     P *= np.sqrt(k.spectrum.mu**power)
     return P

@@ -22,14 +22,13 @@ bound on V.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .kernels import SpectralKernel, _features, gram_matrix
-from .spectra import Spectrum, _check_count, _check_lambda, _variance_terms, effective_dimension
+from .spectra import Spectrum, _check_count, _check_real, _variance_terms, effective_dimension
 from .spectra import embedding_norm
 
 __all__ = [
@@ -116,15 +115,9 @@ def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
     return TruncatedOperatorModel(kernel=kernel, psi=psi)
 
 
-def _check_gamma(gamma) -> None:
-    """gamma must be one real number in [0, 1]; a negated inclusion, so that NaN fails too."""
-    if not (isinstance(gamma, numbers.Real) and 0 <= gamma <= 1):
-        raise ValueError(f"gamma must lie in [0, 1] (got {gamma})")
-
-
 def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
     """Squared gamma-norm sum mu_i^(-gamma) c_i^2 of L2 coefficients c."""
-    _check_gamma(gamma)
+    gamma = _check_real("gamma", gamma, "[0, 1]")
     c = np.asarray(c, dtype=float)
     if len(c) > s.size:
         raise ValueError("coefficient vector longer than the spectrum")
@@ -145,7 +138,7 @@ def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
     With psi = U W, the rows of W orthogonal with norms s, e = 1 / (s^2/n + lambda) for every
     lambda >= 0; W is never divided by s, so Z stays finite at a zero singular value.
     """
-    _check_lambda(lam, positive=False)
+    lam = _check_real("lambda", lam, "[0, inf)")
     U, svals, W = m._svd
     if lam == 0:
         # the inverse on the span of {psi(x_k)} needs n singular values above the cutoff
@@ -157,7 +150,7 @@ def _coefficient_solution(m: TruncatedOperatorModel, lam: float):
 
 def v_lambda_coefficient_route(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """V(lambda) evaluated in coefficient space, from the model's one factorization."""
-    _check_gamma(gamma)
+    gamma = _check_real("gamma", gamma, "[0, 1]")
     _, e, W = _coefficient_solution(m, lam)
     row_sq = np.einsum("kl,kl,k->l", W, W, e**2)  # sum of Z**2 over sample points, per mode
     return float(np.sum(m.mu ** (1.0 - gamma) * row_sq)) / m.n**2
@@ -174,8 +167,8 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
     when that bound exceeds COND_LIMIT are A's eigenvalues computed to decide.
     Algebraically identical to the coefficient route in the truncated model.
     """
-    _check_lambda(lam, positive=False)
-    _check_gamma(gamma)
+    lam = _check_real("lambda", lam, "[0, inf)")
+    gamma = _check_real("gamma", gamma, "[0, 1]")
     A = gram_matrix(kernel, X)
     n = len(A)
     A /= n
@@ -194,26 +187,27 @@ def v_lambda_gram_route(kernel: SpectralKernel, X, gamma: float, lam: float) -> 
 
 def v1_lambda(m: TruncatedOperatorModel, gamma: float, lam: float) -> float:
     """Population-covariance approximation of V at the sampled points."""
-    _check_lambda(lam, positive=True)
-    _check_gamma(gamma)
+    lam = _check_real("lambda", lam, "(0, inf)")
+    gamma = _check_real("gamma", gamma, "[0, 1]")
     return float(np.sum(_variance_terms(m.mu, gamma, lam) * m._e_sq_sums)) / m.n**2
 
 
 def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     """Closed form (1/n) sum mu_i^(2-gamma) / (mu_i + lambda)^2."""
-    _check_lambda(lam, positive=True)
+    lam = _check_real("lambda", lam, "(0, inf)")
     _check_count("n", n)
-    _check_gamma(gamma)
+    gamma = _check_real("gamma", gamma, "[0, 1]")
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
 
 
 def envelope_shape(s: Spectrum, gamma: float, lam, n: int) -> np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n under the law (beta, zeta) of s."""
-    lam = np.asarray(lam, dtype=float)
-    if not np.all((lam > 0) & (lam < np.inf)):  # a negated inclusion, so that NaN fails too
-        raise ValueError(f"lambda must be positive (got {lam})")
+    lam = np.asarray(lam)
+    for l in lam.flat:
+        _check_real("lambda", l, "(0, inf)")
+    lam = lam.astype(float)
     _check_count("n", n)
-    _check_gamma(gamma)
+    gamma = _check_real("gamma", gamma, "[0, 1]")
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)  # the log factor is 1 at lambda >= 1
     with np.errstate(over="ignore", invalid="ignore"):  # a shape above the float range is inf
         shape = lam ** (-gamma - 1.0 / s.beta) * log_factor ** (-s.zeta) / n
@@ -307,8 +301,7 @@ def concentration_trial(
     the empirical covariance against its high-probability bound and (b)
     |V1 - V2| against sqrt(tau) M_alpha^2 / (sqrt(2) n^{3/2} lam^{gamma+alpha}).
     """
-    if not tau >= 1:
-        raise ValueError(f"tau must be at least 1 (got {tau})")
+    tau = _check_real("tau", tau, "[1, inf)")
     _check_count("trials", trials)
     spec = kernel.spectrum
     v2 = v2_lambda(spec, gamma, lam, n)  # checks lambda, n and gamma before they enter the bounds

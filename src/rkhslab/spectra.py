@@ -11,6 +11,7 @@ error-growth exponents.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -43,17 +44,27 @@ def _check_count(name: str, x, low: int = 1) -> int:
     return int(x)
 
 
-def _check_lambda(lam, positive: bool) -> None:
-    """lambda must be one finite real number, > 0 if ``positive``, else >= 0; NaN fails too."""
-    if not (isinstance(lam, numbers.Real) and 0 <= lam < np.inf and (lam > 0 or not positive)):
-        raise ValueError(f"lambda must be {'positive' if positive else 'nonnegative'} (got {lam})")
+def _check_real(name: str, x, interval: str):
+    """x as a Python int or float if it is one finite real number, not a bool, in ``interval``.
+
+    ``interval`` is bracket notation with numeric ends, such as "[0, 1)" or "(1, inf)".
+    """
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    try:  # NaN stands for anything that is not a real number within the float range
+        v = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:
+        v = math.nan
+    above = low < v or (interval[0] == "[" and low == v)
+    below = v < high or (interval[-1] == "]" and v == high)
+    if not (math.isfinite(v) and above and below):
+        raise ValueError(f"{name} must be a finite real number in {interval} (got {x!r})")
+    return int(x) if _is_int(x) else v
 
 
 def _check_law(beta, zeta) -> None:
-    """The decay law: beta and zeta one real number each, beta finite and above 1, zeta finite."""
-    real = isinstance(beta, numbers.Real) and isinstance(zeta, numbers.Real)
-    if not (real and 1 < beta < np.inf and -np.inf < zeta < np.inf):  # NaN fails both
-        raise ValueError(f"need finite beta > 1 and finite zeta (got beta = {beta}, zeta = {zeta})")
+    """The decay law: beta a finite real number above 1, zeta a finite real number."""
+    _check_real("beta", beta, "(1, inf)")
+    _check_real("zeta", zeta, "(-inf, inf)")
 
 
 class DivergentEmbedding(ArithmeticError):
@@ -85,9 +96,10 @@ class Spectrum:
 
     def tail(self, p: float = 1.0) -> float:
         """Estimate of sum_{i > M} mu_i^p under the declared law, finite for beta p > 1."""
-        if not 1 < self.beta * p < np.inf:  # a negated finite inclusion: NaN and inf fail it
-            raise ValueError(f"the tail needs finite beta p > 1 (got beta = {self.beta}, p = {p})")
-        return _tail_integral(self.beta * p, self.zeta, self.size)
+        beta_p = self.beta * _check_real("p", p, f"({1 / self.beta}, inf)")
+        # the product can still round to 1 (p one ulp above 1/beta) or overflow
+        _check_real("beta p", beta_p, "(1, inf)")
+        return _tail_integral(beta_p, self.zeta, self.size)
 
     def trace(self) -> float:
         """Total mass including the estimated tail (finite for bounded kernels)."""
@@ -132,7 +144,7 @@ def _tail_integral(beta: float, zeta: float, M: int) -> float:
 
 def effective_dimension(s: Spectrum, lam: float) -> float:
     """Trace of (C + lambda)^(-1) C, i.e. sum mu_i / (mu_i + lambda)."""
-    _check_lambda(lam, positive=True)
+    lam = _check_real("lambda", lam, "(0, inf)")
     return float(np.sum(s.mu / (s.mu + lam)))
 
 
@@ -158,8 +170,7 @@ def embedding_norm(kernel, alpha: float) -> float:
     since sum 1/(i (log i)^zeta) converges only then.  Otherwise this raises
     :class:`DivergentEmbedding`.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1] (got {alpha})")
+    alpha = _check_real("alpha", alpha, "(0, 1]")
     a_star, zeta = embedding_index(kernel), kernel.spectrum.zeta
     if alpha < a_star or (alpha == a_star and zeta <= 1):
         raise DivergentEmbedding(
@@ -181,11 +192,9 @@ class ExponentReport:
 
 def theoretical_exponent(gamma: float, beta: float, alpha_star: float) -> ExponentReport:
     """Exponent (gamma - 3(alpha* - 1/beta)) / (3 alpha* - 2/beta) with its regime."""
-    if not (isinstance(gamma, numbers.Real) and 0 <= gamma < 1):  # NaN fails too
-        raise ValueError(f"gamma must lie in [0, 1) (got {gamma})")
-    _check_law(beta, 0.0)  # before alpha_star, whose range 1/beta sets; zeta does not enter
-    if not 1 / beta - 1e-12 <= alpha_star <= 1 + 1e-12:
-        raise ValueError(f"alpha_star must lie in [1/beta, 1] (got {alpha_star})")
+    gamma = _check_real("gamma", gamma, "[0, 1)")
+    beta = _check_real("beta", beta, "(1, inf)")  # before alpha_star, whose range 1/beta sets
+    alpha_star = _check_real("alpha_star", alpha_star, f"[{1 / beta - 1e-12}, {1 + 1e-12}]")
     threshold = 3.0 * (alpha_star - 1.0 / beta)
     denom = 3.0 * alpha_star - 2.0 / beta
     exponent = (gamma - threshold) / denom

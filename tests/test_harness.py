@@ -29,6 +29,12 @@ from rkhslab import (
 from rkhslab.cli import main as cli_main
 
 
+def real_rule(name, interval, x):
+    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
+    message = f"{name} must be a finite real number in {interval} (got {x!r})"
+    return f"^{re.escape(message)}$"
+
+
 class TestSampleInputs:
     def test_deterministic(self):
         a = sample_inputs("unit_interval", 10, replicate_rng(0, 10, 0))
@@ -88,9 +94,10 @@ class TestMakeResponses:
             make_responses(np.zeros(2), f, 1.0, replicate_rng(0, 2, 0))
 
     def test_rejects_nonpositive_sigma(self):
-        # NaN and infinite noise levels would give all-NaN or infinite responses
-        for sigma in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="sigma must be positive"):
+        # NaN and infinite noise levels would give all-NaN or infinite responses;
+        # a one-element array was taken as its entry
+        for sigma in (0.0, -1.0, float("nan"), float("inf"), float("-inf"), np.array([1.0])):
+            with pytest.raises(ValueError, match=real_rule("sigma", "(0, inf)", sigma)):
                 make_responses(np.zeros(2), None, sigma, replicate_rng(0, 2, 0))
 
 
@@ -136,6 +143,31 @@ class TestExperimentConfig:
             value = (bad,) if field == "n_grid" else bad
             with pytest.raises(ConfigError, match=message):
                 ExperimentConfig(beta=2.0, gamma=0.5, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, interval, outside",
+        [
+            ("beta", "(1, inf)", 1.0),
+            ("gamma", "[0, 1)", 1.0),
+            ("sigma", "(0, 1e+50]", 0.0),
+            ("zeta", "(-inf, inf)", -float("inf")),
+            ("f_star_b1", "[-1e+50, 1e+50]", -1e51),
+            ("lambda_grid", "(0, 0.5)", 0.5),
+        ],
+    )
+    def test_rejects_a_real_field_by_the_real_rule(self, field, interval, outside):
+        # each field had its own message, and a bool, a string or a list was "not a finite number"
+        name = "every lambda_grid entry" if field == "lambda_grid" else field
+        for bad in (outside, float("nan"), float("inf"), True, "0.3", [0.3]):
+            value = (bad,) if field == "lambda_grid" else bad
+            with pytest.raises(ConfigError, match=real_rule(name, interval, bad)):
+                ExperimentConfig(**{"beta": 2.0, "gamma": 0.5, field: value})
+
+    def test_real_fields_are_stored_as_plain_numbers(self):
+        # a numpy scalar becomes a Python float, and an integer stays an int
+        cfg = ExperimentConfig(beta=np.float32(2.0), gamma=0, zeta=np.int64(1))
+        assert (type(cfg.beta), type(cfg.gamma), type(cfg.zeta)) == (float, int, int)
+        assert (cfg.beta, cfg.gamma, cfg.zeta) == (2.0, 0, 1)
 
     def test_underflowing_spectrum_error_names_beta(self):
         with pytest.raises(ConfigError, match="beta = 100.0"):
@@ -952,6 +984,9 @@ class TestCli:
             ("variance", {"beta": 200.0, "lambda_grid": [1e-2]}),  # 128^-200 underflows
             ("inconsistency", {"n_grid": "abc"}),
             ("variance", {"lambda_grid": {"a": 0.1}}),
+            # the 10^30 x 8 basis matrix lies past numpy's array size limit: this exited 1
+            # with a traceback from rng.random, after making the output directory
+            ("variance", {"truncation": 8, "n_grid": [10**30], "lambda_grid": [0.1]}),
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, capsys, command, extra):

@@ -147,23 +147,31 @@ class TestFractionalPower:
         k = SpectralKernel(Spectrum(np.array([1.0]), beta=2.0, zeta=0.0))
         assert kernel_eval(k, 0.2, 0.9, power=2.0) == pytest.approx(1.0)
 
-    def test_rejects_negative_power(self, cosine_kernel):
+    @pytest.mark.parametrize("power", [-0.5, np.inf])
+    def test_rejects_negative_power(self, cosine_kernel, power):
+        # an infinite power gave a rank-one Gram matrix
         X = np.array([0.1, 0.2])
-        with pytest.raises(ValueError, match="power must be nonnegative"):
-            kernel_eval(cosine_kernel, X, X, power=-0.5)
-        with pytest.raises(ValueError, match="power must be nonnegative"):
-            gram_matrix(cosine_kernel, X, power=-0.5)
+        with pytest.raises(ValueError, match=real_rule("power", "[0, inf)", power)):
+            kernel_eval(cosine_kernel, X, X, power=power)
+        with pytest.raises(ValueError, match=real_rule("power", "[0, inf)", power)):
+            gram_matrix(cosine_kernel, X, power=power)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
 def test_rejects_nan_or_negative_power_and_eigenvalue(cosine_kernel, bad):
     X = np.array([0.1, 0.2])
-    with pytest.raises(ValueError, match="power must be nonnegative"):
+    with pytest.raises(ValueError, match=real_rule("power", "[0, inf)", bad)):
         kernel_eval(cosine_kernel, X, X, power=bad)
-    with pytest.raises(ValueError, match="power must be nonnegative"):
+    with pytest.raises(ValueError, match=real_rule("power", "[0, inf)", bad)):
         gram_matrix(cosine_kernel, X, power=bad)
     with pytest.raises(ValueError, match="per-degree eigenvalues must be nonnegative"):
         DotProductSpectrum(d=2, a=[1.0, bad])
+
+
+def real_rule(name, interval, x):
+    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
+    message = f"{name} must be a finite real number in {interval} (got {x!r})"
+    return f"^{re.escape(message)}$"
 
 
 def count_message(name, d, k):

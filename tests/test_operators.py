@@ -34,6 +34,12 @@ from rkhslab import (
 )
 
 
+def real_rule(name, interval, x):
+    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
+    message = f"{name} must be a finite real number in {interval} (got {x!r})"
+    return f"^{re.escape(message)}$"
+
+
 def one_mode_kernel():
     return SpectralKernel(Spectrum(np.array([1.0]), beta=2.0, zeta=0.0))
 
@@ -387,29 +393,42 @@ class TestVGramRoute:
 def test_both_routes_reject_negative_lambda(route):
     k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
     X = np.random.default_rng(14).random(8)
-    with pytest.raises(ValueError, match=r"lambda must be nonnegative \(got -0\.001\)"):
+    with pytest.raises(ValueError, match=real_rule("lambda", "[0, inf)", -1e-3)):
         route(k, X, -1e-3)
 
 
-NAN_INF = (float("nan"), float("inf"))
-# a lambda is one number: a list or a one-element array is rejected too
-NOT_ONE_LAMBDA = (*NAN_INF, [0.1], np.array([0.1]))
+# a lambda is one real number: a bool, a list or a one-element array is rejected too;
+# True was taken as lambda = 1
+NOT_ONE_LAMBDA = (float("nan"), float("inf"), True, [0.1], np.array([0.1]))
 
 
 @pytest.mark.parametrize(
-    "call, bad_values",
+    "call, interval, bad_values",
     [
         (
             lambda k, X, lam: v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam),
+            "[0, inf)",
             NOT_ONE_LAMBDA,
         ),
-        (lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam), NOT_ONE_LAMBDA),
-        (lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)), NOT_ONE_LAMBDA),
-        (lambda k, X, lam: effective_dimension(k.spectrum, lam), NOT_ONE_LAMBDA),
-        (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), NOT_ONE_LAMBDA),
-        (lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam), NOT_ONE_LAMBDA),
-        (lambda k, X, lam: envelope_shape(k.spectrum, 0.5, np.array([0.1, lam]), len(X)), NAN_INF),
-        (lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan), (float("nan"),)),
+        (
+            lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam),
+            "(0, inf)",
+            NOT_ONE_LAMBDA,
+        ),
+        (lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)), "(0, inf)", NOT_ONE_LAMBDA),
+        (lambda k, X, lam: effective_dimension(k.spectrum, lam), "(0, inf)", NOT_ONE_LAMBDA),
+        (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), "[0, inf)", NOT_ONE_LAMBDA),
+        (
+            lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam),
+            "[0, inf)",
+            NOT_ONE_LAMBDA,
+        ),
+        (  # each entry of the array is checked, and named as the numpy scalar it is
+            lambda k, X, lam: envelope_shape(k.spectrum, 0.5, np.array([0.1, lam]), len(X)),
+            "(0, inf)",
+            (np.float64("nan"), np.float64("inf")),
+        ),
+        (lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan), None, (float("nan"),)),
     ],
     ids=[
         "v_lambda_coefficient_route",
@@ -422,25 +441,25 @@ NOT_ONE_LAMBDA = (*NAN_INF, [0.1], np.array([0.1]))
         "v2_lambda_n",
     ],
 )
-def test_nan_lambda_rejected(call, bad_values):
+def test_nan_lambda_rejected(call, interval, bad_values):
     k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
     X = np.random.default_rng(14).random(8)
-    # lambda must be finite too; the last case passes NaN as v2_lambda's n
+    # lambda must be finite too; the last case passes NaN as v2_lambda's n, a count
     for bad in bad_values:
-        message = r"lambda|n must be an integer of at least 1 \(got nan\)"
+        if interval is None:
+            message = r"^n must be an integer of at least 1 \(got nan\)$"
+        else:
+            message = real_rule("lambda", interval, bad)
         with pytest.raises(ValueError, match=message):
             call(k, X, bad)
-    if bad_values is NOT_ONE_LAMBDA:  # the six that take one lambda name the bound it missed
-        message = r"lambda must be (nonnegative|positive) \(got \[0.1\]\)"
-        with pytest.raises(ValueError, match=message):
-            call(k, X, [0.1])
 
 
-# a gamma is one number: a list or a one-element array is rejected too
+# a gamma is one real number: a bool, a list or a one-element array is rejected too;
+# True was taken as gamma = 1
 @pytest.mark.parametrize(
     "bad",
-    [float("nan"), -0.1, 1.5, [0.0, 0.5], np.array([0.5])],
-    ids=["nan", "-0.1", "1.5", "list", "array"],
+    [float("nan"), -0.1, 1.5, [0.0, 0.5], np.array([0.5]), True],
+    ids=["nan", "-0.1", "1.5", "list", "array", "True"],
 )
 @pytest.mark.parametrize(
     "call",
@@ -468,7 +487,7 @@ def test_nan_lambda_rejected(call, bad_values):
 def test_gamma_outside_unit_interval_rejected(call, bad):
     k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
     X = np.random.default_rng(14).random(8)
-    with pytest.raises(ValueError, match="gamma must lie in"):
+    with pytest.raises(ValueError, match=real_rule("gamma", "[0, 1]", bad)):
         call(k, X, bad)
 
 
@@ -540,8 +559,8 @@ class TestV2Lambda:
 @pytest.mark.parametrize(
     "lam, n, message",
     [
-        (0.0, 8, r"lambda must be positive \(got \[0.1 0. \]\)"),
-        (-0.1, 8, r"lambda must be positive \(got \[ 0.1 -0.1\]\)"),
+        (0.0, 8, real_rule("lambda", "(0, inf)", np.float64(0.0))),
+        (-0.1, 8, real_rule("lambda", "(0, inf)", np.float64(-0.1))),
         (0.1, 0, r"n must be an integer of at least 1 \(got 0\)"),
         (0.1, 8.5, r"n must be an integer of at least 1 \(got 8.5\)"),
         (0.1, 8.0, r"n must be an integer of at least 1 \(got 8.0\)"),
@@ -710,12 +729,11 @@ class TestConcentration:
         )
         assert b.v1_v2_median < a.v1_v2_median
 
-    def test_rejects_small_tau(self):
-        k = one_mode_kernel()
-        with pytest.raises(ValueError):
-            concentration_trial(k, 8, 0.1, 1.0, 0.5, 10, 0)
-        with pytest.raises(ValueError, match="tau"):
-            concentration_trial(k, 8, 0.1, 1.0, float("nan"), 10, 0)
+    @pytest.mark.parametrize("tau", [0.5, float("nan"), float("inf")])
+    def test_rejects_small_tau(self, tau):
+        # an infinite tau gave infinite bounds, every one reported satisfied
+        with pytest.raises(ValueError, match=real_rule("tau", "[1, inf)", tau)):
+            concentration_trial(one_mode_kernel(), 8, 0.1, 1.0, tau, 10, 0)
 
     def test_rejects_no_trials(self):
         # with no draw every fraction and median would be the NaN of an empty mean

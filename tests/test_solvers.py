@@ -25,6 +25,12 @@ from rkhslab import (
 )
 
 
+
+def real_rule(name, interval, x):
+    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
+    message = f"{name} must be a finite real number in {interval} (got {x!r})"
+    return f"^{re.escape(message)}$"
+
 def constant_kernel():
     return SpectralKernel(Spectrum(np.array([1.0]), beta=2.0, zeta=0.0))
 
@@ -93,11 +99,10 @@ class TestRidgeFit:
         with pytest.raises(ValueError):
             ridge_fit(constant_kernel(), SampleSet([0.3], [1.0]), -0.1)
 
-    @pytest.mark.parametrize("jitter", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("jitter", [-0.1, float("nan"), float("inf"), np.array([1.0])])
     def test_rejects_a_negative_or_non_finite_jitter(self, jitter):
-        # the message named lambda, which has its own rule
-        message = rf"^jitter must be nonnegative and finite \(got {jitter}\)$"
-        with pytest.raises(ValueError, match=message):
+        # the message named lambda, which has its own rule; the array was taken as its entry
+        with pytest.raises(ValueError, match=real_rule("jitter", "[0, inf)", jitter)):
             ridge_fit(constant_kernel(), SampleSet([0.3], [1.0]), 0.0, jitter=jitter)
 
     def test_linearity_in_y(self, cosine_kernel):

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,8 +17,12 @@ from rkhslab import (
 )
 from rkhslab.spectra import _tail_integral
 
-# the one message of the decay-law check
-BAD_LAW = "need finite beta > 1 and finite zeta"
+
+def real_rule(name, interval, x):
+    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
+    message = f"{name} must be a finite real number in {interval} (got {x!r})"
+    return f"^{re.escape(message)}$"
+
 
 
 class TestMakePowerLawSpectrum:
@@ -44,9 +50,9 @@ class TestMakePowerLawSpectrum:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((np.nan,), BAD_LAW + r" \(got beta = nan, zeta = 0.0\)"),
-            ((2.0, np.nan, 16), BAD_LAW + r" \(got beta = 2.0, zeta = nan\)"),
-            ((2.0, np.inf, 16), BAD_LAW + r" \(got beta = 2.0, zeta = inf\)"),
+            ((np.nan,), real_rule("beta", "(1, inf)", np.nan)),
+            ((2.0, np.nan, 16), real_rule("zeta", "(-inf, inf)", np.nan)),
+            ((2.0, np.inf, 16), real_rule("zeta", "(-inf, inf)", np.inf)),
             ((2.0, 0.0, 10.5), r"M must be an integer of at least 2 \(got 10.5\)"),
             ((2.0, 0.0, True), r"M must be an integer of at least 2 \(got True\)"),
             ((100.0, 0.0, 4096), r"mu_M underflows to 0 at beta = 100.0, zeta = 0.0, M = 4096"),
@@ -86,7 +92,9 @@ class TestMakePowerLawSpectrum:
         # zeta = inf was accepted and its tail() raised a ValueError with an empty message,
         # a one-element array zeta was stored as an array, and a string or complex
         # zeta raised TypeError
-        with pytest.raises(ValueError, match=BAD_LAW):
+        # the zeta cases keep beta = 2
+        bad = ("zeta", "(-inf, inf)", zeta) if beta == 2.0 else ("beta", "(1, inf)", beta)
+        with pytest.raises(ValueError, match=real_rule(*bad)):
             Spectrum(np.ones(1), beta, zeta)
 
     def test_overflowing_term_is_clipped_to_mu_1(self):
@@ -164,11 +172,22 @@ class TestTailMass:
         direct = np.sum((i * np.log(i) ** zeta) ** (-beta * p)) + _tail_integral(beta * p, zeta, N)
         assert s.tail(p) == pytest.approx(direct, rel=1e-3)
 
-    @pytest.mark.parametrize("p", [0.5, 0.25, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("p", [0.5, 0.25, -1.0, np.nan, np.inf, "2"])
     def test_spectrum_tail_needs_beta_p_above_one(self, p):
+        # the string raised TypeError
         s = make_power_law_spectrum(2.0, 0.0, 16)
-        with pytest.raises(ValueError, match="beta p > 1"):
+        with pytest.raises(ValueError, match=real_rule("p", "(0.5, inf)", p)):
             s.tail(p)
+
+    @pytest.mark.parametrize(
+        "beta, p, product",
+        [(3.0, np.nextafter(1 / 3, 1), 1.0), (1e300, 1e10, np.inf)],
+        ids=["rounds_to_one", "overflows"],
+    )
+    def test_spectrum_tail_checks_the_product_beta_p(self, beta, p, product):
+        # p passes its own interval, yet beta p leaves (1, inf)
+        with pytest.raises(ValueError, match=real_rule("beta p", "(1, inf)", product)):
+            Spectrum(np.ones(2), beta, 0.0).tail(p)
 
 
 class TestEffectiveDimension:
@@ -211,10 +230,11 @@ class TestEmbeddingNorm:
         with pytest.raises(DivergentEmbedding):
             embedding_norm(k, 0.4)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.5, np.nan])
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, np.nan, "0.6"])
     def test_rejects_alpha_outside_unit_interval(self, alpha):
+        # the string raised TypeError
         k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+        with pytest.raises(ValueError, match=real_rule("alpha", "(0, 1]", alpha)):
             embedding_norm(k, alpha)
 
     @pytest.mark.parametrize(
@@ -330,7 +350,7 @@ class TestTheoreticalExponent:
     )
     def test_rejects_a_gamma_that_is_not_one_real_number(self, gamma):
         # the array gave an array exponent; the list and the string raised TypeError
-        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+        with pytest.raises(ValueError, match=real_rule("gamma", "[0, 1)", gamma)):
             theoretical_exponent(gamma, 2.0, 0.5)
 
     def test_no_divergence_case(self):
@@ -339,14 +359,17 @@ class TestTheoreticalExponent:
         assert rep.exponent == pytest.approx(-1.1 / 1.7)
         assert rep.classification == "no_divergence"
 
-    def test_rejects_alpha_star_below_inverse_beta(self):
-        with pytest.raises(ValueError, match=r"alpha_star must lie in \[1/beta, 1\]"):
-            theoretical_exponent(0.5, 2.0, 0.2)
+    @pytest.mark.parametrize("alpha_star", [0.2, np.array([0.5])], ids=["below", "array"])
+    def test_rejects_alpha_star_below_inverse_beta(self, alpha_star):
+        # the array gave an array exponent; the interval holds 1e-12 of slack at each end
+        message = real_rule("alpha_star", "[0.499999999999, 1.000000000001]", alpha_star)
+        with pytest.raises(ValueError, match=message):
+            theoretical_exponent(0.5, 2.0, alpha_star)
 
     @pytest.mark.parametrize("beta", [np.nan, np.inf, 1.0, 0.5])
     def test_rejects_beta_before_alpha_star(self, beta):
         # the range of alpha_star is set by beta, so a bad beta is named, not alpha_star
-        with pytest.raises(ValueError, match=BAD_LAW):
+        with pytest.raises(ValueError, match=real_rule("beta", "(1, inf)", beta)):
             theoretical_exponent(0.5, beta, 0.5)
 
 
