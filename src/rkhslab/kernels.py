@@ -18,7 +18,10 @@ Two families are provided:
 
 The shallow ReLU tangent-kernel profile is included as the canonical
 dot-product example, together with quadrature projection of an arbitrary
-profile onto its per-degree eigenvalues.
+profile onto its per-degree eigenvalues.  Results take their inputs' shapes:
+``kernel_eval(k, x, y)`` has shape ``np.shape(x) + np.shape(y)``, the sphere
+evaluators the shape of t (inner products ``X @ X.T`` give a Gram matrix),
+and a 0-d result is a numpy float, which is a ``float``.
 """
 
 from __future__ import annotations
@@ -141,9 +144,8 @@ def _features(k: SpectralKernel, x, power: float) -> np.ndarray:
 
 def kernel_eval(k: SpectralKernel, x, y, power: float = 1.0) -> float | np.ndarray:
     """Truncated Mercer sum sum_i mu_i^power e_i(x) e_i(y), power >= 0; symmetric in (x, y)."""
-    scalar = np.isscalar(x) and np.isscalar(y)
     vals = _features(k, x, power) @ _features(k, y, power).T
-    return float(vals[0, 0]) if scalar else vals
+    return vals.reshape(np.shape(x) + np.shape(y))[()]
 
 
 def gram_matrix(k: SpectralKernel, X, power: float = 1.0) -> np.ndarray:
@@ -164,12 +166,11 @@ def multiplicity(d: int, k: int) -> int:
     return n
 
 
-def _check_t(t) -> tuple[np.ndarray, bool]:
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(t) > 1.0 + T_CLAMP):
+def _check_t(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.abs(t) <= 1.0 + T_CLAMP):  # a negated inclusion, so that NaN fails it too
         raise DomainError("inputs must satisfy |t| <= 1")
-    return np.clip(t, -1.0, 1.0), scalar
+    return np.clip(t, -1.0, 1.0)
 
 
 def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
@@ -182,7 +183,7 @@ def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
     The callers have checked d >= 1 and k_max >= 0 by the count rule.
     """
     nu = 0.5 * (d - 1)
-    P = np.empty((k_max + 1, len(t)))
+    P = np.empty((k_max + 1,) + t.shape)
     P[0] = 1.0
     if k_max >= 1:
         P[1] = t
@@ -210,17 +211,15 @@ class DotProductSpectrum:
 
 def dot_product_kernel_eval(s: DotProductSpectrum, t) -> float | np.ndarray:
     """K(t) = sum_k a_k N(d, k) P_k(t) for t = <x, x'>."""
-    t, scalar = _check_t(t)
-    P = _gegenbauer_table(len(s.a) - 1, s.d, t)
-    vals = (s.a * np.array([multiplicity(s.d, k) for k in range(len(s.a))], dtype=float)) @ P
-    return float(vals[0]) if scalar else vals
+    P = _gegenbauer_table(len(s.a) - 1, s.d, _check_t(t))
+    weights = s.a * np.array([multiplicity(s.d, k) for k in range(len(s.a))], dtype=float)
+    return np.tensordot(weights, P, axes=1)[()]
 
 
 def ntk_eval(t) -> float | np.ndarray:
     """Shallow ReLU tangent-kernel profile (2/pi) t (pi - arccos t) + (1/pi) sqrt(1 - t^2)."""
-    t, scalar = _check_t(t)
-    vals = (2.0 / np.pi) * t * (np.pi - np.arccos(t)) + np.sqrt(1.0 - t**2) / np.pi
-    return float(vals[0]) if scalar else vals
+    t = _check_t(t)
+    return ((2.0 / np.pi) * t * (np.pi - np.arccos(t)) + np.sqrt(1.0 - t**2) / np.pi)[()]
 
 
 def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:

@@ -119,8 +119,8 @@ def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
     """Squared gamma-norm sum mu_i^(-gamma) c_i^2 of L2 coefficients c."""
     gamma = _check_real("gamma", gamma, "[0, 1]")
     c = np.asarray(c, dtype=float)
-    if len(c) > s.size:
-        raise ValueError("coefficient vector longer than the spectrum")
+    if c.ndim != 1 or len(c) > s.size:
+        raise ValueError(f"need at most {s.size} coefficients on one axis (got shape {c.shape})")
     w = s.mu[: len(c)]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = w ** (-gamma) * c**2
@@ -200,7 +200,7 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
     return float(np.sum(_variance_terms(s.mu, gamma, lam))) / n
 
 
-def envelope_shape(s: Spectrum, gamma: float, lam, n: int) -> np.ndarray:
+def envelope_shape(s: Spectrum, gamma: float, lam, n: int) -> float | np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n under the law (beta, zeta) of s."""
     lam = np.asarray(lam)
     for l in lam.flat:
@@ -213,7 +213,7 @@ def envelope_shape(s: Spectrum, gamma: float, lam, n: int) -> np.ndarray:
         shape = lam ** (-gamma - 1.0 / s.beta) * log_factor ** (-s.zeta) / n
         # one factor overflowing while the other underflows gives inf * 0: take logs instead
         logs = np.exp(-(gamma + 1.0 / s.beta) * np.log(lam) - s.zeta * np.log(log_factor)) / n
-    return np.where(np.isfinite(shape), shape, logs)
+    return np.where(np.isfinite(shape), shape, logs)[()]
 
 
 def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
@@ -224,7 +224,7 @@ def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
     """
     w = np.asarray(f_coeffs_H, dtype=float)
     s = kernel.spectrum
-    gamma_norm_sq(np.zeros(len(w)), s, gamma)  # checks gamma and the length before the products
+    gamma_norm_sq(np.zeros(w.shape), s, gamma)  # checks gamma and the shape before the products
     lhs = np.sqrt(gamma_norm_sq(w * np.sqrt(s.mu[: len(w)]), s, gamma))
     rhs = float(np.linalg.norm(s.mu[: len(w)] ** ((1.0 - gamma) / 2.0) * w))
     return abs(lhs - rhs)

@@ -110,9 +110,7 @@ def min_norm_fit(kernel: SpectralKernel, s: SampleSet) -> DualSolution:
 
 def predict(d: DualSolution, x) -> float | np.ndarray:
     """Evaluate f(x) = sum_j alpha_j K(x, x_j) = sum_i c_i e_i(x)."""
-    scalar = np.isscalar(x)
-    vals = d.kernel.basis_matrix(x) @ estimator_l2_coefficients(d)
-    return float(vals[0]) if scalar else vals
+    return (d.kernel.basis_matrix(x) @ estimator_l2_coefficients(d)).reshape(np.shape(x))[()]
 
 
 def estimator_l2_coefficients(d: DualSolution) -> np.ndarray:
@@ -129,7 +127,7 @@ def gamma_error_sq(d: DualSolution, f_star_coeffs, gamma: float) -> float:
     gamma = 1 this is the fit's squared norm in the hypothesis space.
     """
     f_star = np.asarray(f_star_coeffs, dtype=float)
-    # checks the target's length and that it lies in the power space
+    # checks the target's shape and that it lies in the power space
     gamma_norm_sq(f_star, d.kernel.spectrum, gamma)
     c = estimator_l2_coefficients(d)
     c[: len(f_star)] -= f_star

@@ -99,6 +99,8 @@ class Spectrum:
         beta_p = self.beta * _check_real("p", p, f"({1 / self.beta}, inf)")
         # the product can still round to 1 (p one ulp above 1/beta) or overflow
         _check_real("beta p", beta_p, "(1, inf)")
+        if self.size == 1 and beta_p * self.zeta >= 1:  # int_1^inf diverges at x = 1 then
+            raise ValueError(f"tail past M = 1 diverges: beta p zeta = {beta_p * self.zeta} >= 1")
         return _tail_integral(beta_p, self.zeta, self.size)
 
     def trace(self) -> float:

@@ -27,12 +27,7 @@ from rkhslab import (
     sample_inputs,
 )
 from rkhslab.cli import main as cli_main
-
-
-def real_rule(name, interval, x):
-    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
-    message = f"{name} must be a finite real number in {interval} (got {x!r})"
-    return f"^{re.escape(message)}$"
+from rules import real_rule
 
 
 class TestSampleInputs:

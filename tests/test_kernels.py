@@ -12,17 +12,22 @@ from rkhslab import (
     DomainError,
     DotProductSpectrum,
     QuadratureError,
+    SampleSet,
     SpectralKernel,
     Spectrum,
     dot_product_kernel_eval,
+    envelope_shape,
     gram_matrix,
     kernel_eval,
     make_power_law_spectrum,
+    min_norm_fit,
     multiplicity,
     ntk_eval,
+    predict,
     project_dot_product_spectrum,
 )
 from rkhslab.kernels import _gegenbauer_table
+from rules import real_rule
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +173,6 @@ def test_rejects_nan_or_negative_power_and_eigenvalue(cosine_kernel, bad):
         DotProductSpectrum(d=2, a=[1.0, bad])
 
 
-def real_rule(name, interval, x):
-    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
-    message = f"{name} must be a finite real number in {interval} (got {x!r})"
-    return f"^{re.escape(message)}$"
-
-
 def count_message(name, d, k):
     """The count rule's message, as a regex, for the dimension d (at least 1) or a degree k."""
     low, bad = (1, d) if name == "d" else (0, k)
@@ -202,9 +201,12 @@ class TestGegenbauer:
             ref = np.polynomial.legendre.Legendre.basis(k)(t)
             assert np.allclose(_gegenbauer_table(k, 2, t)[k], ref, atol=1e-12)
 
-    def test_rejects_out_of_range(self):
+    @pytest.mark.parametrize(
+        "t", [1.5, np.nan, [0.2, np.nan]], ids=["above_one", "nan", "nan_in_1d"]
+    )
+    def test_rejects_out_of_range(self, t):
         with pytest.raises(DomainError):
-            dot_product_kernel_eval(DotProductSpectrum(2, [1.0] * 4), 1.5)
+            dot_product_kernel_eval(DotProductSpectrum(2, [1.0] * 4), t)
 
     @pytest.mark.parametrize(
         "k, d, name",
@@ -327,8 +329,54 @@ class TestNtk:
 
     def test_clamp_window(self):
         assert ntk_eval(1.0 + 5e-13) == pytest.approx(2.0)
-        with pytest.raises(DomainError):
-            ntk_eval(1.01)
+        for bad in (1.01, np.nan):
+            with pytest.raises(DomainError):
+                ntk_eval(bad)
+
+
+SHAPE_INPUTS = {
+    "float": 0.3,
+    "numpy_float": np.float64(0.3),
+    "0d_array": np.array(0.3),
+    "1d_one": np.array([0.3]),
+    "1d": np.array([0.1, 0.3, 0.7]),
+    "2d": np.array([[0.1, 0.3, 0.7], [0.9, 0.3, 0.2]]),
+}
+EVALUATORS = ("kernel_eval", "predict", "ntk_eval", "dot_product_kernel_eval", "envelope_shape")
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [
+        (name, case)
+        for name in EVALUATORS
+        for case in SHAPE_INPUTS
+        # points in [0, 1] lie on one axis; a 2-d T is a matrix of inner products
+        if case != "2d" or name not in ("kernel_eval", "predict")
+    ],
+)
+def test_evaluators_follow_their_inputs_shape(cosine_kernel, name, case):
+    x = SHAPE_INPUTS[case]
+    fit = min_norm_fit(cosine_kernel, SampleSet([0.1, 0.5, 0.9], [1.0, -1.0, 0.5]))
+    sphere = DotProductSpectrum(3, 1.0 / (1.0 + np.arange(9.0)) ** 3)
+    evaluate = {
+        "kernel_eval": lambda x: kernel_eval(cosine_kernel, x, x),
+        "predict": lambda x: predict(fit, x),
+        "ntk_eval": ntk_eval,
+        "dot_product_kernel_eval": lambda t: dot_product_kernel_eval(sphere, t),
+        "envelope_shape": lambda lam: envelope_shape(cosine_kernel.spectrum, 0.5, lam, 8),
+    }[name]
+    out = evaluate(x)
+    want = np.shape(x) + np.shape(x) if name == "kernel_eval" else np.shape(x)
+    assert np.shape(out) == want
+    if name == "kernel_eval":
+        assert np.shape(kernel_eval(cosine_kernel, x, [0.2, 0.6])) == np.shape(x) + (2,)
+    if np.ndim(x) == 0:
+        assert isinstance(out, float) and np.ndim(out) == 0
+        assert out == evaluate(0.3)
+    elif np.ndim(x) == 2:
+        rows = np.array([evaluate(row) for row in x])
+        np.testing.assert_allclose(out, rows, rtol=1e-14, atol=0.0)
 
 
 class TestProjection:

@@ -32,12 +32,7 @@ from rkhslab import (
     v_lambda_coefficient_route,
     v_lambda_gram_route,
 )
-
-
-def real_rule(name, interval, x):
-    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
-    message = f"{name} must be a finite real number in {interval} (got {x!r})"
-    return f"^{re.escape(message)}$"
+from rules import real_rule
 
 
 def one_mode_kernel():
@@ -606,9 +601,12 @@ class TestNormEq:
             for _ in range(10):
                 f = rng.standard_normal(64)
                 assert norm_eq_check(k, f, gamma) <= 1e-10
-        # more coefficients than modes fail at gamma_norm_sq's length check, not in numpy
-        with pytest.raises(ValueError, match="coefficient vector longer than the spectrum"):
-            norm_eq_check(k, np.ones(65), 0.5)
+        # more coefficients than modes, or more than one axis, fail at gamma_norm_sq's shape
+        # check, not in numpy
+        for f, shape in ((np.ones(65), "(65,)"), (np.ones((2, 2)), "(2, 2)")):
+            message = f"need at most 64 coefficients on one axis (got shape {shape})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                norm_eq_check(k, f, 0.5)
 
 
 class TestVarianceCurve:

@@ -23,13 +23,8 @@ from rkhslab import (
     ridge_fit,
     v_lambda_coefficient_route,
 )
+from rules import real_rule
 
-
-
-def real_rule(name, interval, x):
-    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
-    message = f"{name} must be a finite real number in {interval} (got {x!r})"
-    return f"^{re.escape(message)}$"
 
 def constant_kernel():
     return SpectralKernel(Spectrum(np.array([1.0]), beta=2.0, zeta=0.0))
@@ -311,8 +306,11 @@ class TestGammaErrorSq:
         from rkhslab.solvers import DualSolution
 
         d = DualSolution(constant_kernel(), np.array([0.3]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            gamma_error_sq(d, [1.0, 2.0], 0.0)
+        # every shape but a 1-d vector within the spectrum fails at gamma_norm_sq, not in numpy
+        for target, shape in (([1.0, 2.0], "(2,)"), (0.3, "()"), ([[1.0]], "(1, 1)")):
+            message = f"need at most 1 coefficients on one axis (got shape {shape})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                gamma_error_sq(d, target, 0.0)
 
 
 class TestConditionalExpectationLowerBound:

@@ -16,13 +16,7 @@ from rkhslab import (
     theoretical_exponent,
 )
 from rkhslab.spectra import _tail_integral
-
-
-def real_rule(name, interval, x):
-    """The full message of the real rule for x, as a pattern for ``pytest.raises``."""
-    message = f"{name} must be a finite real number in {interval} (got {x!r})"
-    return f"^{re.escape(message)}$"
-
+from rules import real_rule
 
 
 class TestMakePowerLawSpectrum:
@@ -188,6 +182,21 @@ class TestTailMass:
         # p passes its own interval, yet beta p leaves (1, inf)
         with pytest.raises(ValueError, match=real_rule("beta p", "(1, inf)", product)):
             Spectrum(np.ones(2), beta, 0.0).tail(p)
+
+    @pytest.mark.parametrize(
+        "zeta, want",
+        [(0.25, 1.772453850905516), (-0.5, 1.0)] + [(z, None) for z in (0.5, 0.75, 1.0, 1.2)],
+    )
+    def test_one_mode_tail_diverges_at_beta_p_zeta_one(self, zeta, want):
+        # past M = 1 the integral starts at x = 1, where (ln x)^(-beta p zeta) is integrable only
+        # for beta p zeta < 1
+        s = Spectrum(np.ones(1), 2.0, zeta)
+        if want is not None:
+            assert s.tail() == want
+        else:
+            message = f"tail past M = 1 diverges: beta p zeta = {2.0 * zeta} >= 1"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                s.tail()
 
 
 class TestEffectiveDimension:
