@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectra import _check_reals
+
 __all__ = ["fit_loglog_slope"]
 
 
@@ -12,14 +14,11 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
 
     Requires at least 3 strictly positive points and non-degenerate xs.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = _check_reals("x", xs, "(0, inf)"), _check_reals("y", ys, "(0, inf)")
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
     if len(xs) < 3:
         raise ValueError("at least 3 points are required")
-    if not np.all((0 < xs) & (xs < np.inf) & (0 < ys) & (ys < np.inf)):  # NaN fails too
-        raise ValueError("all points must be finite and strictly positive")
     lx, ly = np.log(xs), np.log(ys)
     if np.ptp(lx) == 0:
         raise ValueError("xs are all equal; slope is undefined")

@@ -22,6 +22,7 @@ A run makes its output directory before its first replicate.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -43,7 +44,7 @@ from .operators import (
     v_lambda_gram_route,
 )
 from .solvers import SampleSet, gamma_error_sq, min_norm_fit
-from .spectra import _check_count, _check_real, _is_int, embedding_index
+from .spectra import _check_count, _check_real, _check_reals, _is_int, embedding_index
 from .spectra import make_power_law_spectrum, theoretical_exponent
 
 __all__ = [
@@ -152,7 +153,8 @@ def sample_inputs(domain, n: int, rng: np.random.Generator) -> np.ndarray:
 def make_responses(X, f_star_values, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """y_i = f*(x_i) + sigma xi_i, Gaussian xi; f_star_values is None (f* = 0) or one per point."""
     sigma = _check_real("sigma", sigma, "(0, inf)")
-    f = np.zeros(len(X)) if f_star_values is None else np.asarray(f_star_values, dtype=float)
+    f = np.zeros(len(X)) if f_star_values is None else f_star_values
+    f = _check_reals("f* value", f, "(-inf, inf)")
     if f.shape != (len(X),):
         raise ValueError(f"need one f* value per point: shape {f.shape} for X of shape {(len(X),)}")
     return f + sigma * rng.standard_normal(len(X))
@@ -308,8 +310,9 @@ def run_inconsistency_experiment(cfg: ExperimentConfig, threads: int = 1) -> dic
 
     too_many_failures = any(f > MAX_FAILURE_FRACTION * cfg.replicates for f in fail)
     slope = stderr = None
-    if len(cfg.n_grid) >= 3 and not too_many_failures and all(0 < m < np.inf for m in means):
-        slope, stderr = fit_loglog_slope(np.array(cfg.n_grid, float), np.array(means))
+    if len(cfg.n_grid) >= 3 and not too_many_failures:
+        with contextlib.suppress(ValueError):  # the fit rejects a mean of 0 or inf
+            slope, stderr = fit_loglog_slope(cfg.n_grid, means)
 
     summary = {
         "n_values": list(cfg.n_grid),

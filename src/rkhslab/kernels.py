@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum, _check_count, _check_real
+from .spectra import Spectrum, _check_count, _check_real, _check_reals
 
 __all__ = [
     "DomainError",
@@ -67,12 +67,10 @@ class QuadratureError(RuntimeError):
 
 def _check_domain(x) -> np.ndarray:
     """The one gate for sample points: a number or a non-empty 1-d array in [0, 1], no NaN."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(x)
     if x.ndim != 1 or len(x) == 0:
         raise DomainError(f"need at least one sample point on one axis (got shape {x.shape})")
-    if not np.all((x >= 0.0) & (x <= 1.0)):  # a negated inclusion, so that NaN fails it too
-        raise DomainError("points must lie in [0, 1]")
-    return x
+    return _check_reals("point", x, "[0, 1]", DomainError)
 
 
 @dataclass(frozen=True)
@@ -167,10 +165,7 @@ def multiplicity(d: int, k: int) -> int:
 
 
 def _check_t(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.abs(t) <= 1.0 + T_CLAMP):  # a negated inclusion, so that NaN fails it too
-        raise DomainError("inputs must satisfy |t| <= 1")
-    return np.clip(t, -1.0, 1.0)
+    return np.clip(_check_reals("t", t, f"[{-1 - T_CLAMP}, {1 + T_CLAMP}]", DomainError), -1, 1)
 
 
 def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
@@ -201,12 +196,10 @@ class DotProductSpectrum:
 
     def __post_init__(self):
         _check_count("d", self.d)
-        a = np.asarray(self.a, dtype=float)
+        a = _check_reals("per-degree eigenvalue", self.a, "[0, inf)")
         object.__setattr__(self, "a", a)
         if a.ndim != 1 or len(a) == 0:
             raise ValueError("a must be a non-empty 1-d array")
-        if not np.all(a >= 0):  # a negated inclusion, so that NaN fails it too
-            raise ValueError("per-degree eigenvalues must be nonnegative")
 
 
 def dot_product_kernel_eval(s: DotProductSpectrum, t) -> float | np.ndarray:

@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import SpectralKernel, _features, gram_matrix
-from .spectra import Spectrum, _check_count, _check_real, _variance_terms, effective_dimension
-from .spectra import embedding_norm
+from .spectra import Spectrum, _check_count, _check_real, _check_reals, _variance_terms
+from .spectra import effective_dimension, embedding_norm
 
 __all__ = [
     "NotInPowerSpace",
@@ -202,10 +202,7 @@ def v2_lambda(s: Spectrum, gamma: float, lam: float, n: int) -> float:
 
 def envelope_shape(s: Spectrum, gamma: float, lam, n: int) -> float | np.ndarray:
     """lambda^-(gamma + 1/beta) log(1/lambda)^-zeta / n under the law (beta, zeta) of s."""
-    lam = np.asarray(lam)
-    for l in lam.flat:
-        _check_real("lambda", l, "(0, inf)")
-    lam = lam.astype(float)
+    lam = _check_reals("lambda", lam, "(0, inf)")
     _check_count("n", n)
     gamma = _check_real("gamma", gamma, "[0, 1]")
     log_factor = np.where(lam < 1.0, np.log(1.0 / lam), 1.0)  # the log factor is 1 at lambda >= 1
@@ -222,7 +219,7 @@ def norm_eq_check(kernel: SpectralKernel, f_coeffs_H, gamma: float) -> float:
     ``f_coeffs_H`` are coordinates of f in the orthonormal basis
     (sqrt(mu_i) e_i); equality is exact in the truncated model for gamma < 1.
     """
-    w = np.asarray(f_coeffs_H, dtype=float)
+    w = _check_reals("coefficient", f_coeffs_H, "(-inf, inf)")
     s = kernel.spectrum
     gamma_norm_sq(np.zeros(w.shape), s, gamma)  # checks gamma and the shape before the products
     lhs = np.sqrt(gamma_norm_sq(w * np.sqrt(s.mu[: len(w)]), s, gamma))

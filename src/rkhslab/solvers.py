@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernels import SpectralKernel, _check_domain, gram_matrix
 from .operators import gamma_norm_sq
-from .spectra import _check_real
+from .spectra import _check_real, _check_reals
 
 __all__ = [
     "SingularGram",
@@ -45,7 +45,7 @@ class SampleSet:
 
     def __post_init__(self):
         X = _check_domain(self.X)
-        Y = np.atleast_1d(np.asarray(self.Y, dtype=float))
+        Y = _check_reals("response", np.atleast_1d(self.Y), "(-inf, inf)")
         if Y.shape != X.shape:
             raise ValueError(f"need one response per point: Y has shape {Y.shape}, X {X.shape}")
         object.__setattr__(self, "X", X)
@@ -126,9 +126,8 @@ def gamma_error_sq(d: DualSolution, f_star_coeffs, gamma: float) -> float:
     most as many as the truncation; the others are zero.  With none and
     gamma = 1 this is the fit's squared norm in the hypothesis space.
     """
-    f_star = np.asarray(f_star_coeffs, dtype=float)
-    # checks the target's shape and that it lies in the power space
-    gamma_norm_sq(f_star, d.kernel.spectrum, gamma)
+    f_star = _check_reals("f* coefficient", f_star_coeffs, "(-inf, inf)")
+    gamma_norm_sq(f_star, d.kernel.spectrum, gamma)  # checks the shape and the power-space norm
     c = estimator_l2_coefficients(d)
     c[: len(f_star)] -= f_star
     return gamma_norm_sq(c, d.kernel.spectrum, gamma)

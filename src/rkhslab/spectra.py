@@ -45,20 +45,31 @@ def _check_count(name: str, x, low: int = 1) -> int:
 
 
 def _check_real(name: str, x, interval: str):
-    """x as a Python int or float if it is one finite real number, not a bool, in ``interval``.
-
-    ``interval`` is bracket notation with numeric ends, such as "[0, 1)" or "(1, inf)".
-    """
-    low, high = (float(end) for end in interval[1:-1].split(","))
+    """x as a Python int or float if it is one finite real number, not a bool, in ``interval``."""
     try:  # NaN stands for anything that is not a real number within the float range
         v = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
-    except OverflowError:
-        v = math.nan
-    above = low < v or (interval[0] == "[" and low == v)
-    below = v < high or (interval[-1] == "]" and v == high)
-    if not (math.isfinite(v) and above and below):
-        raise ValueError(f"{name} must be a finite real number in {interval} (got {x!r})")
+        _check_reals(name, v, interval)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be a finite real number in {interval} (got {x!r})") from None
     return int(x) if _is_int(x) else v
+
+
+def _check_reals(name: str, a, interval: str, error=ValueError) -> np.ndarray:
+    """a as a float64 array of its own shape if every entry is a finite real number in ``interval``.
+
+    ``interval`` is bracket notation, such as "[0, 1)" or "(1, inf)"; a bool or string array fails.
+    """
+    a = np.asarray(a)
+    # NaN stands for every entry of an array that does not hold real numbers
+    v = a.astype(float, copy=False) if a.dtype.kind in "iuf" else np.full(a.shape, math.nan)
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = (low < v) | ((interval[0] == "[") & (low == v))
+    below = (v < high) | ((interval[-1] == "]") & (v == high))
+    ok = np.isfinite(v) & above & below
+    if not np.all(ok):  # a negated inclusion, so that NaN fails it too
+        got = a.flat[np.argmin(ok)]
+        raise error(f"every {name} must be a finite real number in {interval} (got {got!r})")
+    return v
 
 
 def _check_law(beta, zeta) -> None:
@@ -81,12 +92,9 @@ class Spectrum:
 
     def __post_init__(self):
         _check_law(self.beta, self.zeta)
-        mu = np.asarray(self.mu, dtype=float)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", mu := _check_reals("eigenvalue", self.mu, "(0, inf)"))
         if mu.ndim != 1 or len(mu) == 0:
             raise ValueError("mu must be a non-empty 1-d array")
-        if not np.all(mu > 0):
-            raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(mu) > 0):
             raise ValueError("eigenvalues must be non-increasing")
 

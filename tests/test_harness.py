@@ -27,7 +27,7 @@ from rkhslab import (
     sample_inputs,
 )
 from rkhslab.cli import main as cli_main
-from rules import real_rule
+from rules import array_rule, real_rule
 
 
 class TestSampleInputs:
@@ -288,16 +288,16 @@ class TestFitLoglogSlope:
             fit_loglog_slope([1.0, 2.0, 3.0], [1.0, -1.0, 2.0])
 
     @pytest.mark.parametrize(
-        "xs, ys",
+        "xs, ys, name, bad",
         [
-            ([1.0, 2.0, 3.0], [1.0, np.nan, 2.0]),
-            ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0]),
-            ([1.0, 2.0, 3.0], [1.0, np.inf, 2.0]),
-            ([np.nan, 2.0, 3.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, np.nan, 2.0], "y", np.nan),
+            ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0], "x", np.inf),
+            ([1.0, 2.0, 3.0], [1.0, np.inf, 2.0], "y", np.inf),
+            ([np.nan, 2.0, 3.0], [1.0, 2.0, 3.0], "x", np.nan),
         ],
     )
-    def test_rejects_non_finite_points(self, xs, ys, capfd):
-        with pytest.raises(ValueError, match="finite and strictly positive"):
+    def test_rejects_non_finite_points(self, xs, ys, name, bad, capfd):
+        with pytest.raises(ValueError, match=array_rule(name, "(0, inf)", np.float64(bad))):
             fit_loglog_slope(xs, ys)
         # rejected before LAPACK sees the point, which would print to stderr
         assert capfd.readouterr().err == ""

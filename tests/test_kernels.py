@@ -27,7 +27,7 @@ from rkhslab import (
     project_dot_product_spectrum,
 )
 from rkhslab.kernels import _gegenbauer_table
-from rules import real_rule
+from rules import array_rule, real_rule
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,9 @@ def test_rejects_nan_or_negative_power_and_eigenvalue(cosine_kernel, bad):
         kernel_eval(cosine_kernel, X, X, power=bad)
     with pytest.raises(ValueError, match=real_rule("power", "[0, inf)", bad)):
         gram_matrix(cosine_kernel, X, power=bad)
-    with pytest.raises(ValueError, match="per-degree eigenvalues must be nonnegative"):
+    # an array entry is named as the numpy scalar it is
+    message = array_rule("per-degree eigenvalue", "[0, inf)", np.float64(bad))
+    with pytest.raises(ValueError, match=message):
         DotProductSpectrum(d=2, a=[1.0, bad])
 
 

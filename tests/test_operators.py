@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import rkhslab.operators as operators
 from rkhslab import (
     DomainError,
+    DotProductSpectrum,
     IllConditionedGram,
     NotInPowerSpace,
     SampleSet,
@@ -17,22 +19,26 @@ from rkhslab import (
     Spectrum,
     build_operator_model,
     concentration_trial,
+    dot_product_kernel_eval,
     effective_dimension,
     embedding_norm,
     envelope_shape,
+    fit_loglog_slope,
     gamma_error_sq,
     gamma_norm_sq,
     gram_matrix,
     kernel_eval,
     make_power_law_spectrum,
+    make_responses,
     norm_eq_check,
+    ntk_eval,
     ridge_fit,
     v1_lambda,
     v2_lambda,
     v_lambda_coefficient_route,
     v_lambda_gram_route,
 )
-from rules import real_rule
+from rules import array_rule, real_rule
 
 
 def one_mode_kernel():
@@ -105,6 +111,81 @@ def test_point_sets_that_are_empty_or_multi_axis_fail_at_the_domain_gate(call, X
     message = f"need at least one sample point on one axis (got shape {shape})"
     with pytest.raises(DomainError, match=re.escape(message)):
         call(k, X)
+
+
+def _fit(k):
+    return ridge_fit(k, SampleSet([0.2, 0.4, 0.6], np.ones(3)), 0.1)
+
+
+# every array of reals passes one rule: a numeric array whose entries are finite and inside the
+# argument's interval; at 0.5 each argument below is valid, so the first entry is the offender
+# (an infinite eigenvalue, a NaN response or f* value and a bool point were accepted,
+# string entries were parsed, and a NaN target raised NotInPowerSpace)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([np.nan, 0.5, 0.5]),
+        np.array([np.inf, 0.5, 0.5]),
+        np.array([-np.inf, 0.5, 0.5]),
+        np.array([True, False, True]),
+        np.array(["0.5", "0.5", "0.5"]),
+    ],
+    ids=["nan", "inf", "-inf", "bool", "string"],
+)
+@pytest.mark.parametrize(
+    "call, name, interval, error",
+    [
+        (lambda k, a: Spectrum(a, 2.0, 0.0), "eigenvalue", "(0, inf)", ValueError),
+        (lambda k, a: DotProductSpectrum(2, a), "per-degree eigenvalue", "[0, inf)", ValueError),
+        (lambda k, a: k.basis_matrix(a), "point", "[0, 1]", DomainError),
+        (lambda k, a: gram_matrix(k, a), "point", "[0, 1]", DomainError),
+        (lambda k, a: kernel_eval(k, 0.5, a), "point", "[0, 1]", DomainError),
+        (lambda k, a: build_operator_model(k, a), "point", "[0, 1]", DomainError),
+        (lambda k, a: SampleSet(a, np.ones(3)), "point", "[0, 1]", DomainError),
+        (lambda k, a: ntk_eval(a), "t", "[-1.000000000001, 1.000000000001]", DomainError),
+        (
+            lambda k, a: dot_product_kernel_eval(DotProductSpectrum(2, [1.0, 0.5]), a),
+            "t",
+            "[-1.000000000001, 1.000000000001]",
+            DomainError,
+        ),
+        (lambda k, a: fit_loglog_slope(a, [1.0, 2.0, 4.0]), "x", "(0, inf)", ValueError),
+        (lambda k, a: fit_loglog_slope([1.0, 2.0, 4.0], a), "y", "(0, inf)", ValueError),
+        (lambda k, a: envelope_shape(k.spectrum, 0.5, a, 8), "lambda", "(0, inf)", ValueError),
+        (lambda k, a: SampleSet([0.2, 0.4, 0.6], a), "response", "(-inf, inf)", ValueError),
+        (
+            lambda k, a: make_responses(np.full(3, 0.5), a, 1.0, np.random.default_rng(0)),
+            "f* value",
+            "(-inf, inf)",
+            ValueError,
+        ),
+        (lambda k, a: gamma_error_sq(_fit(k), a, 0.5), "f* coefficient", "(-inf, inf)", ValueError),
+        (lambda k, a: norm_eq_check(k, a, 0.5), "coefficient", "(-inf, inf)", ValueError),
+    ],
+    ids=[
+        "Spectrum",
+        "DotProductSpectrum",
+        "basis_matrix",
+        "gram_matrix",
+        "kernel_eval",
+        "build_operator_model",
+        "SampleSet_X",
+        "ntk_eval",
+        "dot_product_kernel_eval",
+        "fit_loglog_slope_xs",
+        "fit_loglog_slope_ys",
+        "envelope_shape",
+        "SampleSet_Y",
+        "make_responses",
+        "gamma_error_sq",
+        "norm_eq_check",
+    ],
+)
+def test_every_array_argument_follows_the_array_rule(call, name, interval, error, bad):
+    k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 8))
+    with pytest.raises(error, match=array_rule(name, interval, bad[0])) as raised:
+        call(k, bad)
+    assert raised.type is error
 
 
 class TestGammaNormSq:
@@ -397,33 +478,46 @@ def test_both_routes_reject_negative_lambda(route):
 NOT_ONE_LAMBDA = (float("nan"), float("inf"), True, [0.1], np.array([0.1]))
 
 
+# the message of each case as a function of the bad value
+LAMBDA_FROM_ZERO = partial(real_rule, "lambda", "[0, inf)")
+LAMBDA_ABOVE_ZERO = partial(real_rule, "lambda", "(0, inf)")
+
+
 @pytest.mark.parametrize(
-    "call, interval, bad_values",
+    "call, message, bad_values",
     [
         (
             lambda k, X, lam: v_lambda_coefficient_route(build_operator_model(k, X), 0.5, lam),
-            "[0, inf)",
+            LAMBDA_FROM_ZERO,
             NOT_ONE_LAMBDA,
         ),
         (
             lambda k, X, lam: v1_lambda(build_operator_model(k, X), 0.5, lam),
-            "(0, inf)",
+            LAMBDA_ABOVE_ZERO,
             NOT_ONE_LAMBDA,
         ),
-        (lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)), "(0, inf)", NOT_ONE_LAMBDA),
-        (lambda k, X, lam: effective_dimension(k.spectrum, lam), "(0, inf)", NOT_ONE_LAMBDA),
-        (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), "[0, inf)", NOT_ONE_LAMBDA),
+        (
+            lambda k, X, lam: v2_lambda(k.spectrum, 0.5, lam, len(X)),
+            LAMBDA_ABOVE_ZERO,
+            NOT_ONE_LAMBDA,
+        ),
+        (lambda k, X, lam: effective_dimension(k.spectrum, lam), LAMBDA_ABOVE_ZERO, NOT_ONE_LAMBDA),
+        (lambda k, X, lam: v_lambda_gram_route(k, X, 0.5, lam), LAMBDA_FROM_ZERO, NOT_ONE_LAMBDA),
         (
             lambda k, X, lam: ridge_fit(k, SampleSet(X, np.ones(len(X))), lam),
-            "[0, inf)",
+            LAMBDA_FROM_ZERO,
             NOT_ONE_LAMBDA,
         ),
-        (  # each entry of the array is checked, and named as the numpy scalar it is
+        (  # the array rule checks each entry, and names it as the numpy scalar it is
             lambda k, X, lam: envelope_shape(k.spectrum, 0.5, np.array([0.1, lam]), len(X)),
-            "(0, inf)",
+            partial(array_rule, "lambda", "(0, inf)"),
             (np.float64("nan"), np.float64("inf")),
         ),
-        (lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan), None, (float("nan"),)),
+        (
+            lambda k, X, nan: v2_lambda(k.spectrum, 0.5, 0.1, nan),
+            lambda nan: r"^n must be an integer of at least 1 \(got nan\)$",
+            (float("nan"),),
+        ),
     ],
     ids=[
         "v_lambda_coefficient_route",
@@ -436,16 +530,12 @@ NOT_ONE_LAMBDA = (float("nan"), float("inf"), True, [0.1], np.array([0.1]))
         "v2_lambda_n",
     ],
 )
-def test_nan_lambda_rejected(call, interval, bad_values):
+def test_nan_lambda_rejected(call, message, bad_values):
     k = SpectralKernel(make_power_law_spectrum(2.0, 0.0, 64))
     X = np.random.default_rng(14).random(8)
     # lambda must be finite too; the last case passes NaN as v2_lambda's n, a count
     for bad in bad_values:
-        if interval is None:
-            message = r"^n must be an integer of at least 1 \(got nan\)$"
-        else:
-            message = real_rule("lambda", interval, bad)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message(bad)):
             call(k, X, bad)
 
 
@@ -554,8 +644,8 @@ class TestV2Lambda:
 @pytest.mark.parametrize(
     "lam, n, message",
     [
-        (0.0, 8, real_rule("lambda", "(0, inf)", np.float64(0.0))),
-        (-0.1, 8, real_rule("lambda", "(0, inf)", np.float64(-0.1))),
+        (0.0, 8, array_rule("lambda", "(0, inf)", np.float64(0.0))),
+        (-0.1, 8, array_rule("lambda", "(0, inf)", np.float64(-0.1))),
         (0.1, 0, r"n must be an integer of at least 1 \(got 0\)"),
         (0.1, 8.5, r"n must be an integer of at least 1 \(got 8.5\)"),
         (0.1, 8.0, r"n must be an integer of at least 1 \(got 8.0\)"),

@@ -23,7 +23,7 @@ from rkhslab import (
     ridge_fit,
     v_lambda_coefficient_route,
 )
-from rules import real_rule
+from rules import array_rule, real_rule
 
 
 def constant_kernel():
@@ -56,7 +56,7 @@ class TestSampleSet:
         "X", [[1.5, 0.2], [-0.1, 0.2], [float("nan"), 0.2]], ids=["above", "below", "nan"]
     )
     def test_points_outside_the_unit_interval_or_nan_fail_at_the_domain_gate(self, X):
-        with pytest.raises(DomainError, match=r"points must lie in \[0, 1\]"):
+        with pytest.raises(DomainError, match=array_rule("point", "[0, 1]", np.float64(X[0]))):
             SampleSet(X, [1.0, 2.0])
 
     # a column or row Y would give a 2-d alpha, which no error or prediction can use

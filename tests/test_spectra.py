@@ -16,7 +16,7 @@ from rkhslab import (
     theoretical_exponent,
 )
 from rkhslab.spectra import _tail_integral
-from rules import real_rule
+from rules import array_rule, real_rule
 
 
 class TestMakePowerLawSpectrum:
@@ -61,7 +61,7 @@ class TestMakePowerLawSpectrum:
         "mu, message",
         [
             ([[1.0, 0.5]], "non-empty 1-d array"),
-            ([1.0, 0.0], "strictly positive"),
+            ([1.0, 0.0], array_rule("eigenvalue", "(0, inf)", np.float64(0.0))),
             ([0.5, 1.0], "non-increasing"),
         ],
         ids=["two_dimensional", "non_positive", "increasing"],
