@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.from_json(args.config, seed=args.seed, output_dir=args.out)
         if args.command == "inconsistency" and cfg.n_grid[-1] >= cfg.truncation:
-            # n >= M makes every Gram matrix singular: the fits would only jitter
+            # n > M makes every Gram matrix rank-deficient and n = M nearly singular
             raise ConfigError("sample sizes must stay below the truncation")
         if args.command == "variance":
             summary = run_variance_experiment(cfg, threads=args.threads)

@@ -123,10 +123,9 @@ def _harmonics(theta: np.ndarray, out: np.ndarray):
     np.sin(a, out=starts[:, :, 1])
     np.cos(a, out=a)
     full, tail = divmod(K, B)
-    if full:
-        # splitting the unit-stride last axis keeps this a view of ``out``
-        blocks = out[:, : full * B].reshape(n, full, B)
-        np.matmul(starts[:, :full], table, out=blocks)
+    # splitting the unit-stride last axis keeps this a view of ``out``
+    blocks = out[:, : full * B].reshape(n, full, B)
+    np.matmul(starts[:, :full], table, out=blocks)
     if tail:
         last = out[:, full * B :].reshape(n, 1, tail)
         np.matmul(starts[:, full:], table[:, :, :tail], out=last)
@@ -168,8 +167,8 @@ def _check_t(t) -> np.ndarray:
     return np.clip(_check_reals("t", t, f"[{-1 - T_CLAMP}, {1 + T_CLAMP}]", DomainError), -1, 1)
 
 
-def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
-    """All P_0..P_{k_max} at the given arguments, normalized so P_k(1) = 1.
+def _gegenbauer(k_max: int, d: int, t: np.ndarray):
+    """Yield P_0..P_{k_max} at t one at a time, holding two, normalized so P_k(1) = 1.
 
     The three-term recurrence of the ultraspherical polynomials with parameter
     nu = (d - 1) / 2, divided through by their values at 1:
@@ -178,13 +177,11 @@ def _gegenbauer_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
     The callers have checked d >= 1 and k_max >= 0 by the count rule.
     """
     nu = 0.5 * (d - 1)
-    P = np.empty((k_max + 1,) + t.shape)
-    P[0] = 1.0
-    if k_max >= 1:
-        P[1] = t
+    prev, cur = np.ones_like(t), t
+    yield from (prev, cur)[: k_max + 1]
     for k in range(2, k_max + 1):
-        P[k] = (2.0 * (k - 1 + nu) * t * P[k - 1] - (k - 1) * P[k - 2]) / (k - 1 + 2.0 * nu)
-    return P
+        prev, cur = cur, (2.0 * (k - 1 + nu) * t * cur - (k - 1) * prev) / (k - 1 + 2.0 * nu)
+        yield cur
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,12 @@ class DotProductSpectrum:
 
 
 def dot_product_kernel_eval(s: DotProductSpectrum, t) -> float | np.ndarray:
-    """K(t) = sum_k a_k N(d, k) P_k(t) for t = <x, x'>."""
-    P = _gegenbauer_table(len(s.a) - 1, s.d, _check_t(t))
-    weights = s.a * np.array([multiplicity(s.d, k) for k in range(len(s.a))], dtype=float)
-    return np.tensordot(weights, P, axes=1)[()]
+    """K(t) = sum_k a_k N(d, k) P_k(t) for t = <x, x'>, summed as the recurrence runs."""
+    t = _check_t(t)
+    K = np.zeros_like(t)
+    for k, P in enumerate(_gegenbauer(len(s.a) - 1, s.d, t)):
+        K += (s.a[k] * multiplicity(s.d, k)) * P
+    return K[()]
 
 
 def ntk_eval(t) -> float | np.ndarray:
@@ -234,8 +233,8 @@ def project_dot_product_spectrum(g, d: int, k_max: int) -> DotProductSpectrum:
 
     def coeffs(order: int) -> np.ndarray:
         x, w = roots_jacobi(order, d / 2 - 1, d / 2 - 1)
-        P = _gegenbauer_table(k_max, d, x)
-        return (P @ (w * np.asarray(g(x), dtype=float))) / np.sum(w)
+        wg = w * _check_reals("profile value", g(x), "(-inf, inf)")
+        return np.array([P @ wg for P in _gegenbauer(k_max, d, x)]) / np.sum(w)
 
     a = coeffs(quad_order)
     for _ in range(QUAD_MAX_DOUBLINGS):

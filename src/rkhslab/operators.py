@@ -118,7 +118,7 @@ def build_operator_model(kernel: SpectralKernel, X) -> TruncatedOperatorModel:
 def gamma_norm_sq(c, s: Spectrum, gamma: float) -> float:
     """Squared gamma-norm sum mu_i^(-gamma) c_i^2 of L2 coefficients c."""
     gamma = _check_real("gamma", gamma, "[0, 1]")
-    c = np.asarray(c, dtype=float)
+    c = _check_reals("coefficient", c, "(-inf, inf)", NotInPowerSpace)
     if c.ndim != 1 or len(c) > s.size:
         raise ValueError(f"need at most {s.size} coefficients on one axis (got shape {c.shape})")
     w = s.mu[: len(c)]

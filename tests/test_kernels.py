@@ -26,7 +26,7 @@ from rkhslab import (
     predict,
     project_dot_product_spectrum,
 )
-from rkhslab.kernels import _gegenbauer_table
+from rkhslab.kernels import _gegenbauer
 from rules import array_rule, real_rule
 
 
@@ -175,6 +175,11 @@ def test_rejects_nan_or_negative_power_and_eigenvalue(cosine_kernel, bad):
         DotProductSpectrum(d=2, a=[1.0, bad])
 
 
+def gegenbauer_table(k_max, d, t):
+    """P_0..P_{k_max} at t, stacked from the generator."""
+    return np.array(list(_gegenbauer(k_max, d, t)))
+
+
 def count_message(name, d, k):
     """The count rule's message, as a regex, for the dimension d (at least 1) or a degree k."""
     low, bad = (1, d) if name == "d" else (0, k)
@@ -184,24 +189,24 @@ def count_message(name, d, k):
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
         t = np.linspace(-1, 1, 11)
-        assert np.allclose(_gegenbauer_table(0, 3, t)[0], 1.0)
+        assert np.allclose(gegenbauer_table(0, 3, t)[0], 1.0)
 
     def test_degree_one_is_identity(self):
         t = np.linspace(-1, 1, 11)
         for d in (1, 2, 3, 5):
-            assert np.allclose(_gegenbauer_table(1, d, t)[1], t)
+            assert np.allclose(gegenbauer_table(1, d, t)[1], t)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_normalized_at_one(self, d):
         for k in range(21):
-            assert _gegenbauer_table(k, d, np.atleast_1d(1.0))[k] == pytest.approx(1.0, abs=1e-12)
+            assert gegenbauer_table(k, d, np.atleast_1d(1.0))[k] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_legendre_for_d2(self):
         # on S^2 the normalized polynomials are the Legendre polynomials
         t = np.linspace(-1, 1, 101)
         for k in (2, 3, 5, 8):
             ref = np.polynomial.legendre.Legendre.basis(k)(t)
-            assert np.allclose(_gegenbauer_table(k, 2, t)[k], ref, atol=1e-12)
+            assert np.allclose(gegenbauer_table(k, 2, t)[k], ref, atol=1e-12)
 
     @pytest.mark.parametrize(
         "t", [1.5, np.nan, [0.2, np.nan]], ids=["above_one", "nan", "nan_in_1d"]
@@ -258,7 +263,7 @@ class TestGegenbauer:
                 for k in range(2, k_max + 1):
                     c.append((2 * (k - 1 + nu) * x * c[-1] - (k - 2 + 2 * nu) * c[-2]) / k)
                 ref[:, j] = [ck * mpmath.factorial(k) / mpmath.rf(2 * nu, k) for k, ck in enumerate(c)]
-        err = np.abs(_gegenbauer_table(k_max, d, t) - ref)
+        err = np.abs(gegenbauer_table(k_max, d, t) - ref)
         # off the grid the d = 1 table, which rounds five times per step where
         # the Chebyshev form 2 t P_{k-1} - P_{k-2} rounds twice, comes within
         # 1.8e-14 over 400 points of [-0.99, 0.99]; within 1e-2 of +-1 the
@@ -306,6 +311,22 @@ class TestDotProductKernel:
         s = DotProductSpectrum(2, np.array([0.5, 0.2, 0.1]))
         expected = 0.5 * 1 + 0.2 * 3 + 0.1 * 5
         assert dot_product_kernel_eval(s, 1.0) == pytest.approx(expected)
+
+    def test_peak_memory_is_a_few_arrays_of_t(self):
+        # the series is summed as the recurrence runs; a table of every P_k
+        # held (k_max + 1) n^2 doubles, about 280 MB here
+        n = 512
+        X = np.random.default_rng(5).standard_normal((n, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        t = X @ X.T
+        s = DotProductSpectrum(2, 1.0 / (1.0 + np.arange(129)) ** 3)
+        tracemalloc.start()
+        try:
+            dot_product_kernel_eval(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n**2 * 8
 
     @pytest.mark.parametrize(
         "d, a, message",
@@ -423,6 +444,23 @@ class TestProjection:
         monkeypatch.setattr(kernels, "QUAD_MAX_DOUBLINGS", 1)
         with pytest.raises(QuadratureError, match="after 1 order doublings"):
             project_dot_product_spectrum(lambda t: (t > 0.3).astype(float), 2, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_profile_fails_at_the_first_order(self, bad):
+        # a NaN profile ran all eight order doublings to QuadratureError, and an
+        # infinite one warned inside the product
+        orders = []
+
+        def g(t):
+            orders.append(len(t))
+            return np.where(t > 0.9, bad, 1.0)
+
+        message = array_rule("profile value", "(-inf, inf)", np.float64(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                project_dot_product_spectrum(g, 2, 4)
+        assert len(orders) == 1
 
     def test_indefinite_profile_raises(self):
         with pytest.raises(ValueError, match="not positive definite"):

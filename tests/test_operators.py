@@ -120,7 +120,8 @@ def _fit(k):
 # every array of reals passes one rule: a numeric array whose entries are finite and inside the
 # argument's interval; at 0.5 each argument below is valid, so the first entry is the offender
 # (an infinite eigenvalue, a NaN response or f* value and a bool point were accepted,
-# string entries were parsed, and a NaN target raised NotInPowerSpace)
+# string entries were parsed, a NaN target raised NotInPowerSpace, and a NaN coefficient
+# of gamma_norm_sq was blamed on an overflowing weight)
 @pytest.mark.parametrize(
     "bad",
     [
@@ -161,6 +162,12 @@ def _fit(k):
         ),
         (lambda k, a: gamma_error_sq(_fit(k), a, 0.5), "f* coefficient", "(-inf, inf)", ValueError),
         (lambda k, a: norm_eq_check(k, a, 0.5), "coefficient", "(-inf, inf)", ValueError),
+        (
+            lambda k, a: gamma_norm_sq(a, k.spectrum, 0.5),
+            "coefficient",
+            "(-inf, inf)",
+            NotInPowerSpace,
+        ),
     ],
     ids=[
         "Spectrum",
@@ -179,6 +186,7 @@ def _fit(k):
         "make_responses",
         "gamma_error_sq",
         "norm_eq_check",
+        "gamma_norm_sq",
     ],
 )
 def test_every_array_argument_follows_the_array_rule(call, name, interval, error, bad):

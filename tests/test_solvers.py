@@ -302,6 +302,16 @@ class TestGammaErrorSq:
         with pytest.raises(NotInPowerSpace):
             gamma_error_sq(d, [0.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_fit_is_not_in_the_power_space(self, bad):
+        # the replicate loop counts NotInPowerSpace as a failed replicate
+        from rkhslab.solvers import DualSolution
+
+        d = DualSolution(constant_kernel(), np.array([0.3]), np.array([bad]))
+        message = array_rule("coefficient", "(-inf, inf)", np.float64(bad))
+        with pytest.raises(NotInPowerSpace, match=message):
+            gamma_error_sq(d, [0.0], 0.5)
+
     def test_too_long_target(self):
         from rkhslab.solvers import DualSolution
 
