@@ -9,7 +9,11 @@ Parseval sums rather than quadrature estimates.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 
@@ -69,28 +73,29 @@ class DualSolution:
 def ridge_fit(
     kernel: SpectralKernel, s: SampleSet, lam: float, jitter: float = 0.0
 ) -> DualSolution:
-    """Solve (K(X, X) + n lambda I + jitter I) alpha = Y by Cholesky.
+    """Solve (K(X, X) + n lambda I + jitter I) alpha = Y by Cholesky (LAPACK ``dposv``).
 
-    At lambda = jitter = 0 a failed factorization raises :class:`SingularGram`;
-    the caller may retry with jitter (see :func:`min_norm_fit`).  Any other
-    system that Cholesky rejects raises its ``LinAlgError``, which the
-    harness counts as a failed replicate.
+    A system that is not finite raises ``ValueError``.  At lambda = jitter = 0
+    a failed factorization raises :class:`SingularGram`; the caller may retry
+    with jitter (see :func:`min_norm_fit`).  Any other system that Cholesky
+    rejects raises ``LinAlgError``, which the harness counts as a failed
+    replicate.
     """
     lam = _check_real("lambda", lam, "[0, inf)")
     jitter = _check_real("jitter", jitter, "[0, inf)")
-    # imported on the first solve, not at import (0.3 s); its in-place Cholesky is 2x numpy's
-    from scipy.linalg import cho_factor, cho_solve
-
     A = gram_matrix(kernel, s.X)
     A.flat[:: s.n + 1] += s.n * lam + jitter
-    try:
-        # A is exactly symmetric, so A.T is the Fortran-ordered array LAPACK
-        # factors in place, with no copy of the n x n matrix
-        alpha = cho_solve(cho_factor(A.T, lower=True, overwrite_a=True), s.Y)
-    except np.linalg.LinAlgError:
+    # A is exactly symmetric, so A.T is the Fortran-ordered array LAPACK
+    # factors in place, with no copy of the n x n matrix
+    _, alpha, info = _lapack().dposv(
+        np.asarray_chkfinite(A.T), np.asarray_chkfinite(s.Y), lower=1, overwrite_a=1
+    )
+    if info > 0:
         if lam == 0.0 and jitter == 0.0:
-            raise SingularGram("singular Gram matrix at lambda = 0") from None
-        raise
+            raise SingularGram("singular Gram matrix at lambda = 0")
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
     return DualSolution(kernel=kernel, X=s.X, alpha=alpha, jitter_used=jitter)
 
 
@@ -131,3 +136,18 @@ def gamma_error_sq(d: DualSolution, f_star_coeffs, gamma: float) -> float:
     c = estimator_l2_coefficients(d)
     c[: len(f_star)] -= f_star
     return gamma_norm_sq(c, d.kernel.spectrum, gamma)
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module alone (5 ms, 3 MB), not ``scipy.linalg`` (0.2 s, 27 MB)."""
+    import scipy  # its _distributor_init makes scipy's bundled OpenBLAS loadable
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    found = PathFinder.find_spec("_flapack", [where])
+    if found is None:
+        raise ImportError(f"scipy's compiled LAPACK module _flapack is not in {where}")
+    spec = spec_from_file_location("rkhslab._flapack", found.origin)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,16 +147,39 @@ class TestRidgeFit:
         assert not isinstance(exc.value, SingularGram)
 
     def test_failed_factorization_is_reraised(self, cosine_kernel, monkeypatch):
-        monkeypatch.setattr("scipy.linalg.cho_factor", fail_to_factor)
+        monkeypatch.setattr("rkhslab.solvers._lapack", failing_lapack)
         rng = np.random.default_rng(4)
         s = SampleSet(rng.random(6), rng.standard_normal(6))
-        with pytest.raises(np.linalg.LinAlgError, match="forced failure") as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=NOT_POSITIVE_DEFINITE) as exc:
             ridge_fit(cosine_kernel, s, 0.1)
         assert not isinstance(exc.value, SingularGram)
 
+    def test_a_system_that_overflows_fails_the_finiteness_check(self, cosine_kernel):
+        # n lambda = 2e308 overflows to inf on the diagonal
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            ridge_fit(cosine_kernel, SampleSet([0.2, 0.8], [1.0, -1.0]), 1e308)
 
-def fail_to_factor(A, **kw):
-    raise np.linalg.LinAlgError("forced failure")
+
+NOT_POSITIVE_DEFINITE = "3-th leading minor of the array is not positive definite"
+
+
+def failing_lapack():
+    """A LAPACK module whose dposv reports that the third leading minor is not positive definite."""
+    return SimpleNamespace(dposv=lambda a, b, **kw: (a, b, 3))
+
+
+def test_the_lapack_loader_names_the_directory_without_flapack(tmp_path, monkeypatch):
+    import scipy
+
+    from rkhslab import solvers
+
+    solvers._lapack.cache_clear()
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    try:
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            solvers._lapack()
+    finally:
+        solvers._lapack.cache_clear()
 
 
 def spy_on_ridge_fit(monkeypatch) -> list:
@@ -195,8 +219,8 @@ class TestMinNormFit:
 
     def test_a_rejected_retry_raises(self, cosine_kernel, monkeypatch):
         jitters = spy_on_ridge_fit(monkeypatch)
-        monkeypatch.setattr("scipy.linalg.cho_factor", fail_to_factor)
-        with pytest.raises(np.linalg.LinAlgError, match="forced failure") as exc:
+        monkeypatch.setattr("rkhslab.solvers._lapack", failing_lapack)
+        with pytest.raises(np.linalg.LinAlgError, match=NOT_POSITIVE_DEFINITE) as exc:
             min_norm_fit(cosine_kernel, SampleSet([0.2, 0.8], [1.0, -1.0]))
         assert not isinstance(exc.value, SingularGram)
         assert len(jitters) == 2 and jitters[0] == 0 < jitters[1]
